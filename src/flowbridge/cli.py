@@ -113,10 +113,21 @@ def _cmd_curvature(args) -> int:
     return 0
 
 
+def _parse_floats(flag: str, text: str) -> list[float]:
+    """Comma-separated finite numbers from a flag value, else ConfigError."""
+    try:
+        values = [float(v) for v in text.split(",")]
+    except ValueError:
+        values = []
+    if not values or not all(np.isfinite(values)):
+        raise ConfigError(f"{flag} expects comma-separated numbers, got {text!r}")
+    return values
+
+
 def _parse_condition(text: str | None, batch: int, cond_dim: int):
     if text is None:
         return None
-    values = np.array([float(v) for v in text.split(",")], dtype=np.float32)
+    values = np.array(_parse_floats("--condition", text), dtype=np.float32)
     if values.shape[0] != cond_dim:
         raise ConfigError(
             f"condition has {values.shape[0]} values, model expects {cond_dim}"
@@ -188,7 +199,7 @@ def _eval_signal(model, extra, gamma, schedule, method, samples, rng):
 def _cmd_eval(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    gammas = [float(g) for g in args.gammas.split(",")]
+    gammas = _parse_floats("--gammas", args.gammas)
     schedule = _build_schedule(args.schedule, args.steps)
     rows = []
     for ckpt_path in args.checkpoint:

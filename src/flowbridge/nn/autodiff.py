@@ -145,7 +145,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def silu(x: Tensor) -> Tensor:
-    sig = 1.0 / (1.0 + np.exp(-x.data))
+    # sigmoid(x) = (1 + tanh(x / 2)) / 2 cannot overflow, whatever the dtype.
+    sig = 0.5 * (1.0 + np.tanh(0.5 * x.data))
     out = Tensor(x.data * sig)
     out._parents = (x,)
 
@@ -159,24 +160,39 @@ def silu(x: Tensor) -> Tensor:
 def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Same-padded 1-D convolution (cross-correlation), odd kernel only.
 
-    x: (B, C_in, L), w: (C_out, C_in, K), b: (C_out,). Output (B, C_out, L).
+    x: (B, C_in, L), w: (C_out, C_in, K), b: (C_out,). Output (B, C_out, L),
+    in the dtype of x and w.
+
+    Computed as K shifted batched matmuls over the zero-padded input xpad:
+    y = sum_j w[:, :, j] @ xpad[:, :, j:j+L] + b. Each shifted window is a
+    strided view that BLAS reads in place. Backward keeps only xpad (no
+    im2col column buffer): gw[:, :, j] = sum_b g @ xpad[:, :, j:j+L].T, and
+    the input gradient accumulates w[:, :, j].T @ g into a padded buffer at
+    offset j, which is then cropped.
     """
     k = w.data.shape[2]
     if k % 2 != 1:
         raise ValueError(f"kernel size must be odd, got {k}")
     pad = k // 2
+    length = x.data.shape[2]
     xpad = np.pad(x.data, ((0, 0), (0, 0), (pad, pad)))
-    win = np.lib.stride_tricks.sliding_window_view(xpad, k, axis=2)
-    out = Tensor(np.einsum("bclk,ock->bol", win, w.data) + b.data[None, :, None])
+    y = w.data[:, :, 0] @ xpad[:, :, :length]
+    for j in range(1, k):
+        y += w.data[:, :, j] @ xpad[:, :, j : j + length]
+    y += b.data[:, None]
+    out = Tensor(y)
     out._parents = (x, w, b)
 
     def backward(g):
         _accumulate(b, g.sum(axis=(0, 2)))
-        _accumulate(w, np.einsum("bol,bclk->ock", g, win))
-        gpad = np.pad(g, ((0, 0), (0, 0), (pad, pad)))
-        gwin = np.lib.stride_tricks.sliding_window_view(gpad, k, axis=2)
-        wflip = w.data[:, :, ::-1]
-        _accumulate(x, np.einsum("bosk,ock->bcs", gwin, wflip))
+        gw = np.empty_like(w.data)
+        for j in range(k):
+            gw[:, :, j] = (g @ xpad[:, :, j : j + length].transpose(0, 2, 1)).sum(axis=0)
+        _accumulate(w, gw)
+        gxpad = np.zeros_like(xpad)
+        for j in range(k):
+            gxpad[:, :, j : j + length] += w.data[:, :, j].T @ g
+        _accumulate(x, gxpad[:, :, pad : pad + length])
 
     out._backward = backward
     return out

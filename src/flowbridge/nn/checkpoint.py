@@ -107,14 +107,19 @@ def load_checkpoint(path: str | Path) -> tuple[VectorFieldModel, Adam | None, di
     optimizer = None
     meta = header.get("optimizer")
     if meta is not None:
-        optimizer = Adam(
-            model.parameters(),
-            lr=meta["lr"],
-            beta1=meta["beta1"],
-            beta2=meta["beta2"],
-            eps=meta["eps"],
-        )
-        optimizer.step_count = meta["step"]
+        try:
+            hyper = {key: meta[key] for key in ("lr", "beta1", "beta2", "eps")}
+            step = meta["step"]
+        except (KeyError, TypeError) as exc:
+            raise CheckpointError(f"{path}: invalid optimizer header ({exc!r})") from exc
+        if (
+            not all(type(v) in (int, float) for v in hyper.values())
+            or type(step) is not int
+            or step < 0
+        ):
+            raise CheckpointError(f"{path}: invalid optimizer header {meta}")
+        optimizer = Adam(model.parameters(), **hyper)
+        optimizer.step_count = step
         optimizer.m = [take(p.data.shape) for p in model.parameters()]
         optimizer.v = [take(p.data.shape) for p in model.parameters()]
     if offset != len(raw):

@@ -33,8 +33,15 @@ def load_signals(path: str | Path) -> tuple[np.ndarray, float | None]:
     sidecar_path = Path(str(path) + ".json")
     if not sidecar_path.exists():
         raise ValidationError(f"missing sidecar {sidecar_path}")
-    meta = json.loads(sidecar_path.read_text())
-    shape = tuple(meta["shape"])
+    try:
+        meta = json.loads(sidecar_path.read_text())
+        shape = tuple(meta["shape"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValidationError(f"{sidecar_path}: corrupt sidecar ({exc!r})") from exc
+    if len(shape) != 2 or not all(type(n) is int and n >= 0 for n in shape):
+        raise ValidationError(
+            f"{sidecar_path}: sidecar shape must be two non-negative integers, got {list(shape)}"
+        )
     raw = np.frombuffer(path.read_bytes(), dtype="<f4")
     if raw.size != int(np.prod(shape)):
         raise ValidationError(

@@ -131,6 +131,34 @@ def test_bridge_condition_on_unconditional_model(planar_run, tmp_path, capsys):
     assert "condition" in capsys.readouterr().err
 
 
+def test_bridge_non_numeric_condition(planar_run, tmp_path, capsys):
+    sig_path = tmp_path / "in.fbs"
+    save_signals(sig_path, np.zeros((2, 2), dtype=np.float32))
+    rc = main([
+        "bridge", "--checkpoint", str(planar_run / "model.fbc"),
+        "--input", str(sig_path), "--out", str(tmp_path / "b"),
+        "--condition", "0.5,loud",
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--condition" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_bridge_corrupt_sidecar(planar_run, tmp_path, capsys):
+    sig_path = tmp_path / "in.fbs"
+    save_signals(sig_path, np.zeros((2, 2), dtype=np.float32))
+    (tmp_path / "in.fbs.json").write_text("{not json")
+    rc = main([
+        "bridge", "--checkpoint", str(planar_run / "model.fbc"),
+        "--input", str(sig_path), "--out", str(tmp_path / "b"),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "corrupt sidecar" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_bridge_length_mismatch(planar_run, tmp_path, capsys):
     sig_path = tmp_path / "in.fbs"
     save_signals(sig_path, np.zeros((2, 5), dtype=np.float32))
@@ -155,6 +183,18 @@ def test_eval_command(planar_run, tmp_path, capsys):
     assert {r[4] for r in rows} == {"w2"}
     assert all(float(r[5]) >= 0.0 for r in rows)
     assert "w2=" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("gammas", ["a", "0,", "1,nan"])
+def test_eval_rejects_non_numeric_gammas(planar_run, tmp_path, capsys, gammas):
+    rc = main([
+        "eval", "--checkpoint", str(planar_run / "model.fbc"),
+        "--out", str(tmp_path / "ev"), "--gammas", gammas,
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--gammas" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_plot_command(planar_run, tmp_path):

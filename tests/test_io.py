@@ -82,6 +82,18 @@ class TestSignalFiles:
         with pytest.raises(ValidationError):
             load_signals(p)
 
+    @pytest.mark.parametrize(
+        "sidecar",
+        ['{"shape": [2, 8', '{"fs": 8000.0}', '[2, 8]', '{"shape": "2x8"}', '{"shape": [-2, -8]}'],
+        ids=["truncated_json", "no_shape", "not_object", "shape_string", "negative_dims"],
+    )
+    def test_corrupt_sidecar(self, tmp_path, sidecar):
+        p = tmp_path / "sig.fbs"
+        save_signals(p, np.zeros((2, 8), dtype=np.float32))
+        (tmp_path / "sig.fbs.json").write_text(sidecar)
+        with pytest.raises(ValidationError, match="corrupt sidecar|sidecar shape"):
+            load_signals(p)
+
     def test_missing_sidecar(self, tmp_path):
         p = tmp_path / "naked.fbs"
         p.write_bytes(b"\x00" * 16)

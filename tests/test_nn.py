@@ -5,6 +5,10 @@ model; every tape gradient is validated against it rather than against a
 second autodiff implementation.
 """
 
+import json
+import struct
+import warnings
+
 import numpy as np
 import pytest
 
@@ -47,6 +51,28 @@ def _check_grad(f, tensor, n_probes, rng, h=1e-6, tol=1e-5):
         idx = np.unravel_index(k, tensor.data.shape)
         num = _fd_entry(lambda: float(f().data.sum()), tensor.data, idx, h)
         assert _rel_err(num, grad[idx]) < tol, f"grad mismatch at {idx}"
+
+
+# id -> (batch, C_in, C_out, L, K, dtype). C_in = 1 and C_out = 1 are the
+# shapes of the conv backbone's input and output convs.
+CONV_CASES = {
+    "k1": (2, 3, 4, 9, 1, np.float64),
+    "k3": (2, 2, 3, 7, 3, np.float64),
+    "k5": (2, 3, 4, 11, 5, np.float64),
+    "c_in1": (2, 1, 4, 9, 3, np.float64),
+    "c_out1": (2, 3, 1, 9, 5, np.float64),
+    "l_lt_k": (2, 2, 3, 2, 5, np.float64),
+    "k5_f32": (2, 3, 4, 11, 5, np.float32),
+}
+
+
+def _conv_inputs(case, seed):
+    batch, c_in, c_out, length, k, dtype = CONV_CASES[case]
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((batch, c_in, length)).astype(dtype)
+    w = rng.standard_normal((c_out, c_in, k)).astype(dtype)
+    b = rng.standard_normal(c_out).astype(dtype)
+    return x, w, b
 
 
 class TestAutodiffOps:
@@ -93,6 +119,17 @@ class TestAutodiffOps:
 
         _check_grad(f, x, 6, rng)
 
+    def test_silu_float32_extremes_do_not_overflow(self):
+        x = Tensor(np.array([-100.0, 100.0], dtype=np.float32), requires_grad=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = ad.silu(x)
+            y.backward(np.ones_like(y.data))
+        assert y.data.dtype == np.float32
+        assert x.grad.dtype == np.float32
+        assert np.allclose(y.data, [0.0, 100.0], rtol=0.0, atol=1e-6)
+        assert np.allclose(x.grad, [0.0, 1.0], rtol=0.0, atol=1e-6)
+
     def test_silu_values(self):
         x = Tensor(np.array([0.0, 100.0, -100.0]))
         y = ad.silu(x).data
@@ -100,37 +137,50 @@ class TestAutodiffOps:
         assert abs(y[1] - 100.0) < 1e-6
         assert abs(y[2]) < 1e-6
 
-    def test_conv1d_forward_matches_numpy(self):
+    @pytest.mark.parametrize("case", CONV_CASES)
+    def test_conv1d_forward_matches_numpy(self, case):
         # Same-padded correlation per (out, in) channel pair, via np.convolve
-        # with a flipped kernel.
-        rng = np.random.default_rng(4)
-        x = rng.standard_normal((2, 3, 11))
-        w = rng.standard_normal((4, 3, 5))
-        b = rng.standard_normal(4)
+        # with a flipped kernel, evaluated in float64.
+        x, w, b = _conv_inputs(case, seed=4)
         out = ad.conv1d(Tensor(x), Tensor(w), Tensor(b)).data
-        want = np.zeros((2, 4, 11))
-        for bi in range(2):
-            for o in range(4):
-                acc = np.zeros(11)
-                for c in range(3):
-                    acc += np.convolve(x[bi, c], w[o, c][::-1], mode="same")
+        assert out.dtype == x.dtype
+        batch, c_in, length = x.shape
+        c_out = w.shape[0]
+        want = np.zeros((batch, c_out, length))
+        for bi in range(batch):
+            for o in range(c_out):
+                acc = np.zeros(length)
+                for c in range(c_in):
+                    full = np.convolve(x[bi, c].astype(np.float64), w[o, c, ::-1].astype(np.float64))
+                    # The centred `length` samples of the full convolution;
+                    # np.convolve's "same" mode would centre on the longer
+                    # operand when the kernel outgrows the signal.
+                    start = w.shape[2] // 2
+                    acc += full[start : start + length]
                 want[bi, o] = acc + b[o]
-        assert np.allclose(out, want, atol=1e-12)
+        atol = 1e-12 if x.dtype == np.float64 else 1e-5
+        assert np.allclose(out, want, rtol=0.0, atol=atol)
 
-    def test_conv1d_backward(self):
+    @pytest.mark.parametrize("case", CONV_CASES)
+    def test_conv1d_backward(self, case):
+        # The tape runs in the case's dtype; the finite differences always run
+        # on float64 copies of the same values.
+        x, w, b = _conv_inputs(case, seed=5)
+        leaves = [Tensor(a, requires_grad=True) for a in (x, w, b)]
+        out = ad.conv1d(*leaves)
+        out.backward(np.ones_like(out.data))
+        assert out.data.dtype == x.dtype
+        exact = [Tensor(a.astype(np.float64)) for a in (x, w, b)]
         rng = np.random.default_rng(5)
-        x = Tensor(rng.standard_normal((2, 2, 7)), requires_grad=True)
-        w = Tensor(rng.standard_normal((3, 2, 3)), requires_grad=True)
-        b = Tensor(rng.standard_normal(3), requires_grad=True)
-
-        def f():
-            for t in (x, w, b):
-                t.zero_grad()
-            return ad.conv1d(x, w, b)
-
-        _check_grad(f, x, 6, rng)
-        _check_grad(f, w, 6, rng)
-        _check_grad(f, b, 3, rng)
+        for leaf, ref, n_probes in zip(leaves, exact, (6, 6, 3)):
+            assert leaf.grad.dtype == x.dtype
+            for _ in range(n_probes):
+                idx = np.unravel_index(int(rng.integers(ref.data.size)), ref.data.shape)
+                num = _fd_entry(lambda: float(ad.conv1d(*exact).data.sum()), ref.data, idx)
+                if x.dtype == np.float64:
+                    assert _rel_err(num, leaf.grad[idx]) < 1e-5, f"grad mismatch at {idx}"
+                else:
+                    assert abs(num - leaf.grad[idx]) <= 1e-4 * max(1.0, abs(num)), idx
 
     def test_conv1d_rejects_even_kernel(self):
         with pytest.raises(ValueError):
@@ -439,4 +489,29 @@ class TestCheckpoint:
         save_checkpoint(path, model)
         path.write_bytes(path.read_bytes() + b"\x00" * 8)
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "optimizer",
+        [
+            {"beta1": 0.9, "beta2": 0.999, "eps": 1e-8, "step": 3},
+            {"lr": 1e-3, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8},
+            {"lr": "1e-3", "beta1": 0.9, "beta2": 0.999, "eps": 1e-8, "step": 3},
+            {"lr": 1e-3, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8, "step": 3.0},
+            {"lr": 1e-3, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8, "step": -1},
+            [1e-3, 0.9, 0.999, 1e-8, 3],
+        ],
+        ids=["no_lr", "no_step", "str_lr", "float_step", "negative_step", "list"],
+    )
+    def test_rejects_bad_optimizer_header(self, tmp_path, optimizer):
+        model = _make_model(dtype="float32")
+        path = tmp_path / "opt.fbc"
+        save_checkpoint(path, model, optimizer=Adam(model.parameters()))
+        raw = path.read_bytes()
+        (header_len,) = struct.unpack_from("<I", raw, 12)
+        header = json.loads(raw[16 : 16 + header_len])
+        header["optimizer"] = optimizer
+        blob = json.dumps(header).encode("utf-8")
+        path.write_bytes(raw[:12] + struct.pack("<I", len(blob)) + blob + raw[16 + header_len :])
+        with pytest.raises(CheckpointError, match="optimizer header"):
             load_checkpoint(path)
