@@ -124,6 +124,14 @@ def _parse_floats(flag: str, text: str) -> list[float]:
     return values
 
 
+def _parse_float(flag: str, text: str) -> float:
+    """One finite number from a flag value, else ConfigError."""
+    values = _parse_floats(flag, text)
+    if len(values) != 1:
+        raise ConfigError(f"{flag} expects one number, got {text!r}")
+    return values[0]
+
+
 def _parse_condition(text: str | None, batch: int, cond_dim: int):
     if text is None:
         return None
@@ -144,10 +152,11 @@ def _cmd_bridge(args) -> int:
             f"{model.config.signal_length}"
         )
     condition = _parse_condition(args.condition, values.shape[0], model.config.cond_dim)
+    gamma = _parse_float("--gamma", args.gamma)
     schedule = _build_schedule(args.schedule, args.steps)
     result = gfb_transfer(
         model, values.astype(model.config.np_dtype), schedule, condition,
-        gamma=args.gamma, method=args.method,
+        gamma=gamma, method=args.method,
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -156,7 +165,7 @@ def _cmd_bridge(args) -> int:
     disp = np.linalg.norm(result.output - values, axis=1)
     rel = disp / np.maximum(np.linalg.norm(values, axis=1), 1e-12)
     print(
-        f"bridged {values.shape[0]} signals (gamma={args.gamma:g}, steps={args.steps}); "
+        f"bridged {values.shape[0]} signals (gamma={gamma:g}, steps={args.steps}); "
         f"median relative displacement {float(np.median(rel)):.4g}"
     )
     print(f"output: {out / 'output.fbs'}")
@@ -285,7 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--gamma", type=float, default=1.0)
+    p.add_argument("--gamma", default="1.0")
     p.add_argument("--steps", type=int, default=25)
     p.add_argument("--method", default="euler", choices=["euler", "midpoint"])
     p.add_argument("--schedule", default="raised_cosine", choices=["raised_cosine", "uniform"])

@@ -4,14 +4,22 @@ A Tensor wraps an ndarray plus a backward closure; calling backward() on an
 output walks the tape in reverse topological order and accumulates gradients
 into every tensor created with requires_grad=True. Only the operations the
 vector-field models need are provided.
+
+Inside a ``no_grad()`` block no tape is recorded: every op returns a Tensor
+with no parents and no backward closure, so each intermediate is freed as
+soon as the next op has used it. Sampling runs the model this way; the same
+forward code, outside the block, builds the tape that training differentiates.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
 __all__ = [
     "Tensor",
+    "no_grad",
     "add",
     "mul",
     "matmul",
@@ -20,7 +28,22 @@ __all__ = [
     "concat",
     "slice_last",
     "reshape",
+    "where",
 ]
+
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Record no tape inside the block (a process-wide flag); restore the mode on exit."""
+    global _grad_enabled
+    prev = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = prev
 
 
 def _sum_to_shape(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -100,6 +123,15 @@ def _accumulate(t: Tensor, g: np.ndarray):
     t.grad = g if t.grad is None else t.grad + g
 
 
+def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
+    """An op's output; it joins the tape only while gradients are enabled."""
+    out = Tensor(data)
+    if _grad_enabled:
+        out._parents = parents
+        out._backward = backward
+    return out
+
+
 def _coerce(x, like: Tensor) -> Tensor:
     if isinstance(x, Tensor):
         return x
@@ -108,53 +140,50 @@ def _coerce(x, like: Tensor) -> Tensor:
 
 def add(a: Tensor, b) -> Tensor:
     b = _coerce(b, a)
-    out = Tensor(a.data + b.data)
-    out._parents = (a, b)
 
     def backward(g):
         _accumulate(a, _sum_to_shape(g, a.data.shape))
         _accumulate(b, _sum_to_shape(g, b.data.shape))
 
-    out._backward = backward
-    return out
+    return _node(a.data + b.data, (a, b), backward)
 
 
 def mul(a: Tensor, b) -> Tensor:
     b = _coerce(b, a)
-    out = Tensor(a.data * b.data)
-    out._parents = (a, b)
 
     def backward(g):
         _accumulate(a, _sum_to_shape(g * b.data, a.data.shape))
         _accumulate(b, _sum_to_shape(g * a.data, b.data.shape))
 
-    out._backward = backward
-    return out
+    return _node(a.data * b.data, (a, b), backward)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data @ b.data)
-    out._parents = (a, b)
-
     def backward(g):
         _accumulate(a, g @ b.data.T)
         _accumulate(b, a.data.T @ g)
 
-    out._backward = backward
-    return out
+    return _node(a.data @ b.data, (a, b), backward)
 
 
 def silu(x: Tensor) -> Tensor:
     # sigmoid(x) = (1 + tanh(x / 2)) / 2 cannot overflow, whatever the dtype.
     sig = 0.5 * (1.0 + np.tanh(0.5 * x.data))
-    out = Tensor(x.data * sig)
-    out._parents = (x,)
 
     def backward(g):
         _accumulate(x, g * sig * (1.0 + x.data * (1.0 - sig)))
 
-    out._backward = backward
-    return out
+    return _node(x.data * sig, (x,), backward)
+
+
+def where(cond: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
+    """np.where(cond, a, b); each entry's gradient goes to the operand it came from."""
+
+    def backward(g):
+        _accumulate(a, _sum_to_shape(np.where(cond, g, 0), a.data.shape))
+        _accumulate(b, _sum_to_shape(np.where(cond, 0, g), b.data.shape))
+
+    return _node(np.where(cond, a.data, b.data), (a, b), backward)
 
 
 def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -180,8 +209,6 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     for j in range(1, k):
         y += w.data[:, :, j] @ xpad[:, :, j : j + length]
     y += b.data[:, None]
-    out = Tensor(y)
-    out._parents = (x, w, b)
 
     def backward(g):
         _accumulate(b, g.sum(axis=(0, 2)))
@@ -194,13 +221,10 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             gxpad[:, :, j : j + length] += w.data[:, :, j].T @ g
         _accumulate(x, gxpad[:, :, pad : pad + length])
 
-    out._backward = backward
-    return out
+    return _node(y, (x, w, b), backward)
 
 
 def concat(parts: list[Tensor], axis: int = -1) -> Tensor:
-    out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
-    out._parents = tuple(parts)
     sizes = [p.data.shape[axis] for p in parts]
 
     def backward(g):
@@ -211,30 +235,22 @@ def concat(parts: list[Tensor], axis: int = -1) -> Tensor:
             _accumulate(p, g[tuple(idx)])
             offset += size
 
-    out._backward = backward
-    return out
+    return _node(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), backward)
 
 
 def slice_last(x: Tensor, start: int, stop: int) -> Tensor:
     """Slice along the last axis; backward zero-pads back to full width."""
-    out = Tensor(x.data[..., start:stop])
-    out._parents = (x,)
 
     def backward(g):
         full = np.zeros_like(x.data)
         full[..., start:stop] = g
         _accumulate(x, full)
 
-    out._backward = backward
-    return out
+    return _node(x.data[..., start:stop], (x,), backward)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    out = Tensor(x.data.reshape(shape))
-    out._parents = (x,)
-
     def backward(g):
         _accumulate(x, g.reshape(x.data.shape))
 
-    out._backward = backward
-    return out
+    return _node(x.data.reshape(shape), (x,), backward)

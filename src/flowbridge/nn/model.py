@@ -135,32 +135,29 @@ class VectorFieldModel:
     def n_parameters(self) -> int:
         return sum(p.data.size for p in self.params.values())
 
-    def _context(self, tau: np.ndarray, condition, present) -> Tensor:
+    def _context(self, tau: np.ndarray, condition, present: np.ndarray) -> Tensor:
+        """Context rows for tau (R,) and flags present (R,); absent rows embed null_cond."""
         cfg = self.config
         dt = cfg.np_dtype
-        b = tau.shape[0]
-        if present is None:
-            present = np.full(b, condition is not None)
+        rows = tau.shape[0]
         if condition is not None and cfg.cond_dim == 0:
             raise ValidationError("model was built without conditioning")
         temb = Tensor(time_embedding(tau, cfg.time_features, cfg.max_time_freq, dt))
-        mask = Tensor(present.astype(dt)[:, None])
-        null_row = ad.mul(Tensor(np.ones((b, 1), dtype=dt)), self.params["null_cond"])
         if cfg.cond_dim > 0 and present.any():
             if condition is None:
                 raise ValidationError("present flags set but no condition given")
-            if condition.shape != (b, cfg.cond_dim):
+            if condition.shape != (rows, cfg.cond_dim):
                 raise ShapeError(
-                    f"condition must be ({b}, {cfg.cond_dim}), got {condition.shape}"
+                    f"condition must be ({rows}, {cfg.cond_dim}), got {condition.shape}"
                 )
             # Zero absent rows *before* the matmul so their payload (possibly
             # NaN) never reaches the parameters.
             cond_in = np.where(present[:, None], condition, 0.0).astype(dt)
             real = ad.add(ad.matmul(Tensor(cond_in), self.params["cond_w"]), self.params["cond_b"])
-            emb = ad.add(ad.mul(mask, real), ad.mul(ad.add(ad.mul(mask, -1.0), 1.0), null_row))
         else:
-            emb = null_row
-        ctx_in = ad.concat([temb, emb, mask], axis=1)
+            real = Tensor(np.zeros((rows, 1), dtype=dt))
+        emb = ad.where(present[:, None], real, self.params["null_cond"])
+        ctx_in = ad.concat([temb, emb, Tensor(present.astype(dt)[:, None])], axis=1)
         return ad.silu(ad.add(ad.matmul(ctx_in, self.params["ctx_w"]), self.params["ctx_b"]))
 
     def forward(
@@ -176,9 +173,18 @@ class VectorFieldModel:
         if x.ndim != 2 or x.shape[1] != cfg.signal_length:
             raise ShapeError(f"expected (B, {cfg.signal_length}), got {x.shape}")
         b = x.shape[0]
-        tau = np.broadcast_to(np.asarray(tau, dtype=dt), (b,)).copy()
+        tau = np.asarray(tau, dtype=dt)
         if np.any(tau < 0.0) or np.any(tau > 1.0):
             raise ValidationError("tau must lie in [0, 1]")
+        if present is None:
+            present = np.full(b, condition is not None)
+        elif present.shape != (b,):
+            raise ShapeError(f"present must be ({b},), got {present.shape}")
+        if tau.ndim == 0 and not present.any():
+            # Every row has the same context: build it on one row, broadcast it.
+            tau, present = tau.reshape(1), np.zeros(1, dtype=bool)
+        else:
+            tau = np.broadcast_to(tau, (b,)).copy()
         ctx = self._context(tau, condition, present)
         xt = Tensor(np.asarray(x, dtype=dt))
         p = self.params
@@ -196,8 +202,8 @@ class VectorFieldModel:
         h = ad.conv1d(x3, p["in_w"], p["in_b"])
         for i in range(cfg.depth):
             film = ad.add(ad.matmul(ctx, p[f"film{i}_w"]), p[f"film{i}_b"])
-            s = ad.reshape(ad.slice_last(film, 0, cfg.hidden), (b, cfg.hidden, 1))
-            t = ad.reshape(ad.slice_last(film, cfg.hidden, 2 * cfg.hidden), (b, cfg.hidden, 1))
+            s = ad.reshape(ad.slice_last(film, 0, cfg.hidden), (-1, cfg.hidden, 1))
+            t = ad.reshape(ad.slice_last(film, cfg.hidden, 2 * cfg.hidden), (-1, cfg.hidden, 1))
             u = ad.add(ad.mul(h, ad.add(s, 1.0)), t)
             z = ad.silu(ad.conv1d(u, p[f"block{i}_w1"], p[f"block{i}_b1"]))
             h = ad.add(h, ad.conv1d(z, p[f"block{i}_w2"], p[f"block{i}_b2"]))
@@ -211,8 +217,9 @@ class VectorFieldModel:
         condition: np.ndarray | None = None,
         present: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Plain ndarray forward pass for sampling (no gradient bookkeeping kept)."""
-        return self.forward(x, tau, condition, present).data
+        """Plain ndarray forward pass for sampling; records no tape."""
+        with ad.no_grad():
+            return self.forward(x, tau, condition, present).data
 
     def config_dict(self) -> dict:
         return asdict(self.config)

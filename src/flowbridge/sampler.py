@@ -119,10 +119,13 @@ def integrate(
     0 (negative steps). With a condition, the field is the guided combination
     gamma * v_cond + (1 - gamma) * v_null; gamma = 1 and gamma = 0 skip the
     second network evaluation. Without a condition only the null branch is
-    evaluated. Raises DivergenceError the first time a state goes non-finite.
+    evaluated. Raises ValidationError on a non-finite start state and
+    DivergenceError the first time a later state goes non-finite.
     """
     if start.ndim != 2:
         raise ShapeError(f"start state must be (B, N), got {start.shape}")
+    if not np.all(np.isfinite(start)):
+        raise ValidationError("start state has non-finite values")
     if method not in ("euler", "midpoint"):
         raise ValidationError(f"unknown method {method!r}")
     if direction not in ("forward", "backward"):

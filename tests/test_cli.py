@@ -159,6 +159,33 @@ def test_bridge_corrupt_sidecar(planar_run, tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("gamma", ["nan", "inf", "abc"])
+def test_bridge_rejects_non_finite_gamma(planar_run, tmp_path, capsys, gamma):
+    sig_path = tmp_path / "in.fbs"
+    save_signals(sig_path, np.zeros((2, 2), dtype=np.float32))
+    rc = main([
+        "bridge", "--checkpoint", str(planar_run / "model.fbc"),
+        "--input", str(sig_path), "--out", str(tmp_path / "b"), "--gamma", gamma,
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--gamma" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_bridge_rejects_nan_input(planar_run, tmp_path, capsys):
+    sig_path = tmp_path / "in.fbs"
+    save_signals(sig_path, np.array([[0.5, np.nan], [0.1, 0.2]], dtype=np.float32))
+    rc = main([
+        "bridge", "--checkpoint", str(planar_run / "model.fbc"),
+        "--input", str(sig_path), "--out", str(tmp_path / "b"), "--steps", "4",
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "non-finite" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_bridge_length_mismatch(planar_run, tmp_path, capsys):
     sig_path = tmp_path / "in.fbs"
     save_signals(sig_path, np.zeros((2, 5), dtype=np.float32))

@@ -209,6 +209,20 @@ class TestAutodiffOps:
 
         _check_grad(f, x, 4, rng)
 
+    def test_where_routes_gradient_to_the_chosen_operand(self):
+        # Real rows get g; the broadcast null row gets the sum of g over the
+        # rows that took it.
+        rng = np.random.default_rng(8)
+        real = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        null = Tensor(rng.standard_normal((1, 3)), requires_grad=True)
+        present = np.array([True, False, True, False])[:, None]
+        out = ad.where(present, real, null)
+        assert np.array_equal(out.data, np.where(present, real.data, null.data))
+        g = rng.standard_normal((4, 3))
+        out.backward(g)
+        assert np.array_equal(real.grad, np.where(present, g, 0.0))
+        assert np.array_equal(null.grad, g[[1, 3]].sum(axis=0, keepdims=True))
+
     def test_grad_accumulates_over_reuse(self):
         # y = x*x + x: dy/dx = 2x + 1, exercised through two paths.
         x = Tensor(np.array([3.0]), requires_grad=True)
@@ -340,6 +354,8 @@ class TestVectorFieldModel:
             model.velocity(np.zeros((2, 9)), 0.5)
         with pytest.raises(ShapeError):
             model.velocity(np.zeros((2, 8)), 0.5, np.zeros((2, 3)))
+        with pytest.raises(ShapeError):
+            model.velocity(np.zeros((2, 8)), 0.5, np.zeros((2, 2)), np.array([False]))
 
     def test_per_sample_tau(self):
         model = _make_model(seed=5)
@@ -360,6 +376,73 @@ class TestVectorFieldModel:
             ModelConfig(signal_length=8, kernel_size=4)
         with pytest.raises(ConfigError):
             ModelConfig(signal_length=0)
+
+
+INFERENCE_CASES = [
+    (backbone, dtype) for backbone in ("mlp", "conv") for dtype in ("float32", "float64")
+]
+
+
+def _perturbed_model(backbone, dtype, seed=15):
+    """A conditional model with every parameter moved off its initial value."""
+    model = _make_model(backbone=backbone, cond_dim=2, dtype=dtype, seed=seed)
+    rng = np.random.default_rng(seed)
+    for p in model.parameters():
+        p.data = (p.data + 0.1 * rng.standard_normal(p.data.shape)).astype(p.data.dtype)
+    return model
+
+
+@pytest.mark.parametrize("backbone,dtype", INFERENCE_CASES)
+class TestInferencePath:
+    """velocity runs forward without a tape, and with a shared context for scalar tau."""
+
+    @pytest.mark.parametrize("present", [None, "all", "mixed"])
+    def test_velocity_equals_forward_with_per_row_tau(self, backbone, dtype, present):
+        model = _perturbed_model(backbone, dtype)
+        rng = np.random.default_rng(16)
+        x = rng.standard_normal((4, 8))
+        tau = rng.random(4)
+        cond = None if present is None else rng.standard_normal((4, 2))
+        flags = np.array([True, False, False, True]) if present == "mixed" else None
+        v = model.velocity(x, tau, cond, flags)
+        assert v.dtype == np.dtype(dtype)
+        assert np.array_equal(v, model.forward(x, tau, cond, flags).data)
+
+    def test_scalar_tau_shares_the_null_context(self, backbone, dtype):
+        model = _perturbed_model(backbone, dtype)
+        x = np.random.default_rng(17).standard_normal((5, 8))
+        shared = model.velocity(x, 0.3)
+        per_row = model.forward(x, np.full(5, 0.3)).data
+        rtol = 1e-6 if dtype == "float32" else 1e-12
+        np.testing.assert_allclose(shared, per_row, rtol=rtol, atol=rtol * np.abs(per_row).max())
+
+    def test_velocity_leaves_gradients_untouched(self, backbone, dtype):
+        model = _perturbed_model(backbone, dtype)
+        rng = np.random.default_rng(18)
+        model.velocity(rng.standard_normal((3, 8)), 0.5, rng.standard_normal((3, 2)))
+        model.velocity(rng.standard_normal((3, 8)), 0.5)
+        assert all(p.grad is None for p in model.parameters())
+
+    def test_no_grad_records_no_tape(self, backbone, dtype):
+        model = _perturbed_model(backbone, dtype)
+        x = np.random.default_rng(20).standard_normal((3, 8))
+        tau = np.array([0.2, 0.5, 0.8])
+        with ad.no_grad():
+            out = model.forward(x, tau)
+        assert out._parents == () and out._backward is None
+        out = model.forward(x, tau)
+        assert out._parents and out._backward is not None
+
+    def test_tape_restored_after_failed_velocity(self, backbone, dtype):
+        model = _perturbed_model(backbone, dtype)
+        x = np.random.default_rng(19).standard_normal((3, 8))
+        with pytest.raises(ValidationError):
+            model.velocity(x, 1.5)
+        out = model.forward(x, np.array([0.2, 0.5, 0.8]))
+        out.backward(np.ones_like(out.data))
+        # Without a condition every parameter but the condition embedding is on the tape.
+        unconditional = [p for name, p in model.params.items() if not name.startswith("cond_")]
+        assert all(p.grad is not None for p in unconditional)
 
 
 class TestAdam:

@@ -173,6 +173,15 @@ class TestIntegrate:
         integrate(stub, np.ones((1, 2)), schedule_uniform(4), condition=None)
         assert (stub.calls_cond, stub.calls_null) == (0, 4)
 
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_rejects_non_finite_start(self, direction):
+        stub = _decay_field(-1.0)
+        start = np.ones((2, 3))
+        start[1, 2] = np.nan
+        with pytest.raises(ValidationError):
+            integrate(stub, start, schedule_uniform(4), direction=direction)
+        assert stub.calls_null == 0
+
     def test_rejects_bad_inputs(self):
         model = _decay_field(-1.0)
         with pytest.raises(ShapeError):
