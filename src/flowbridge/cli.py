@@ -327,16 +327,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except TrainingDivergedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ConfigError, ValidationError, CheckpointError, CsvFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (TrainingDivergedError, DivergenceError, ConfigError, ValidationError,
+            CheckpointError, CsvFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

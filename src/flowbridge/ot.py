@@ -1,8 +1,9 @@
 """Minibatch optimal transport over squared-L2 cost matrices.
 
 Exact solutions are assignments (one noise chunk per data chunk); approximate
-solutions are entropy-regularized transport plans computed with log-domain
-Sinkhorn iterations. Marginals are always uniform (1/M on both sides).
+solutions are entropy-regularized transport plans computed by Sinkhorn
+matrix scaling, stabilized by absorbing the scalings into dual potentials.
+Marginals are always uniform (1/M on both sides).
 """
 
 from __future__ import annotations
@@ -124,38 +125,40 @@ def solve_sinkhorn(
     max_iter: int = 1000,
     tol: float = 1e-6,
 ) -> TransportPlan:
-    """Entropy-regularized transport plan via log-domain Sinkhorn iterations.
+    """Entropy-regularized transport plan via stabilized Sinkhorn scaling.
 
-    Runs with an epsilon-scaling warm start (annealing the regularizer down
-    from max(C)), checks the row-marginal residual every few iterations, and
-    stops once it drops below ``tol`` or ``max_iter`` is spent. The final
-    iterate is then rounded onto the uniform-marginal polytope, so the
-    returned plan is always feasible; non-convergence of the iterations is
-    reported through the ``converged`` flag, never raised.
+    Iterates matrix scaling (two mat-vecs per sweep) on the kernel
+    ``exp((f + g - C) / eps)`` and absorbs the scalings into the dual
+    potentials ``f``, ``g`` after every epsilon-annealing stage (from max(C)
+    down to ``epsilon``) and every residual check, which keeps the kernel
+    from underflowing. The row-marginal residual is checked every 10
+    iterations; the solver stops once it drops below ``tol`` or ``max_iter``
+    is spent. The final iterate is then rounded onto the uniform-marginal
+    polytope, so the returned plan is always feasible; non-convergence of
+    the iterations is reported through the ``converged`` flag, never raised.
     """
-    if epsilon <= 0:
-        raise ValidationError(f"epsilon must be positive, got {epsilon}")
+    if not (np.isfinite(epsilon) and epsilon > 0):
+        raise ValidationError(f"epsilon must be positive and finite, got {epsilon}")
     if max_iter < 1:
         raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
     cv = c.values
     m = c.m
-    log_marg = -np.log(m)
+    marg = 1.0 / m
     f = np.zeros(m)
     g = np.zeros(m)
 
-    def lse_rows(x):
-        mx = x.max(axis=1)
-        return mx + np.log(np.exp(x - mx[:, None]).sum(axis=1))
+    def kernel(eps):
+        return np.exp((f[:, None] + g[None, :] - cv) / eps)
 
-    def lse_cols(x):
-        mx = x.max(axis=0)
-        return mx + np.log(np.exp(x - mx[None, :]).sum(axis=0))
-
-    def sweep(eps):
-        # One row update then one column update on the dual potentials.
+    def scale(k, eps, sweeps):
+        # Row then column scaling per sweep, absorbed into the potentials.
         nonlocal f, g
-        f = eps * (log_marg - lse_rows((g[None, :] - cv) / eps))
-        g = eps * (log_marg - lse_cols((f[:, None] - cv) / eps))
+        v = np.ones(m)
+        for _ in range(sweeps):
+            u = marg / (k @ v)
+            v = marg / (u @ k)
+        f = f + eps * np.log(u)
+        g = g + eps * np.log(v)
 
     cmax = float(cv.max())
     if cmax > epsilon:
@@ -163,26 +166,25 @@ def solve_sinkhorn(
         n_stages = int(np.ceil(np.log2(cmax / epsilon)))
         for s in range(n_stages):
             eps_s = cmax * (epsilon / cmax) ** ((s + 1) / (n_stages + 1))
-            for _ in range(15):
-                sweep(eps_s)
+            scale(kernel(eps_s), eps_s, 15)
 
-    def plan():
-        return np.exp((f[:, None] + g[None, :] - cv) / epsilon)
-
+    # With the scalings absorbed, the kernel at epsilon is the current plan.
+    pi = kernel(epsilon)
     residual = np.inf
     iterations = 0
     converged = False
     while iterations < max_iter:
-        sweep(epsilon)
-        iterations += 1
-        if iterations % 10 == 0 or iterations == max_iter:
-            # Column sums are exact after a g update; rows carry the error.
-            residual = float(np.abs(plan().sum(axis=1) - 1.0 / m).max())
-            if residual < tol:
-                converged = True
-                break
+        sweeps = min(10, max_iter - iterations)
+        scale(pi, epsilon, sweeps)
+        iterations += sweeps
+        pi = kernel(epsilon)
+        # Column sums are exact after a column scaling; rows carry the error.
+        residual = float(np.abs(pi.sum(axis=1) - marg).max())
+        if residual < tol:
+            converged = True
+            break
 
-    pi = _round_to_uniform(plan(), m)
+    pi = _round_to_uniform(pi, m)
     return TransportPlan(pi, epsilon, converged=converged, residual=residual, iterations=iterations)
 
 
@@ -218,8 +220,8 @@ def plan_to_pairs(
         raise ValidationError(f"unknown pairing mode {mode!r}")
     pi = plan.pi
     row_sums = pi.sum(axis=1)
-    if np.any(row_sums <= 0):
-        raise ValidationError("transport plan has an all-zero row")
+    if not np.all(row_sums > 0):
+        raise ValidationError("transport plan has a row summing to zero or NaN")
     if mode == "argmax":
         return np.argmax(pi, axis=1)
     probs = pi / row_sums[:, None]

@@ -47,6 +47,10 @@ class TrainConfig:
             raise ConfigError(f"unknown ot_method {self.ot_method!r}")
         if self.ot_method == "sinkhorn" and self.sinkhorn_epsilon is None:
             raise ConfigError("sinkhorn ot_method requires sinkhorn_epsilon")
+        for name in ("lr", "sinkhorn_epsilon"):
+            value = getattr(self, name)
+            if value is not None and not (np.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
         if not 0.0 <= self.cond_dropout <= 1.0:
             raise ConfigError(f"cond_dropout must be in [0, 1], got {self.cond_dropout}")
         if self.log_every < 1:

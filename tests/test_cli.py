@@ -81,6 +81,24 @@ def test_train_unknown_task_key(tmp_path, capsys):
     assert "task section" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override", ["train.sinkhorn_epsilon=NaN", "train.lr=Infinity"])
+def test_train_rejects_non_finite_hyperparameter(tmp_path, capsys, override):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "task": {"family": "two_moons"},
+        "model": {"hidden": 8, "depth": 2},
+        "train": {"iterations": 2, "batch_size": 4, "coupling": "chunked_ot",
+                  "chunk_size": 2, "ot_method": "sinkhorn", "sinkhorn_epsilon": 0.5},
+    }))
+    out = tmp_path / "r"
+    rc = main(["train", "--config", str(cfg_path), "--out", str(out), "--set", override])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert override.split(".")[1].split("=")[0] in err
+    assert not out.exists()
+
+
 def test_train_missing_config_file(tmp_path, capsys):
     rc = main(["train", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "r")])
     assert rc == 1

@@ -4,9 +4,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowbridge.exceptions import ShapeError, ValidationError
 from flowbridge.ot import (
+    _round_to_uniform,
     Assignment,
     CostMatrix,
     TransportPlan,
@@ -30,6 +33,54 @@ def _brute_force_cost(c: np.ndarray) -> float:
 
 def _random_points(rng, m, d):
     return rng.standard_normal((m, d)), rng.standard_normal((m, d))
+
+
+def _reference_sinkhorn(c: CostMatrix, epsilon: float, max_iter: int = 1000, tol: float = 1e-6):
+    """Log-domain Sinkhorn with the solver's annealing schedule and checks.
+
+    Returns (pi, iterations, converged) with pi rounded like the solver's.
+    """
+    cv = c.values
+    m = c.m
+    log_marg = -np.log(m)
+    f = np.zeros(m)
+    g = np.zeros(m)
+
+    def lse_rows(x):
+        mx = x.max(axis=1)
+        return mx + np.log(np.exp(x - mx[:, None]).sum(axis=1))
+
+    def lse_cols(x):
+        mx = x.max(axis=0)
+        return mx + np.log(np.exp(x - mx[None, :]).sum(axis=0))
+
+    def sweep(eps):
+        nonlocal f, g
+        f = eps * (log_marg - lse_rows((g[None, :] - cv) / eps))
+        g = eps * (log_marg - lse_cols((f[:, None] - cv) / eps))
+
+    cmax = float(cv.max())
+    if cmax > epsilon:
+        n_stages = int(np.ceil(np.log2(cmax / epsilon)))
+        for s in range(n_stages):
+            eps_s = cmax * (epsilon / cmax) ** ((s + 1) / (n_stages + 1))
+            for _ in range(15):
+                sweep(eps_s)
+
+    def plan():
+        return np.exp((f[:, None] + g[None, :] - cv) / epsilon)
+
+    iterations = 0
+    converged = False
+    while iterations < max_iter:
+        sweep(epsilon)
+        iterations += 1
+        if iterations % 10 == 0 or iterations == max_iter:
+            residual = float(np.abs(plan().sum(axis=1) - 1.0 / m).max())
+            if residual < tol:
+                converged = True
+                break
+    return _round_to_uniform(plan(), m), iterations, converged
 
 
 class TestCostMatrix:
@@ -156,6 +207,75 @@ class TestSolveSinkhorn:
             solve_sinkhorn(c, epsilon=0.0)
         with pytest.raises(ValidationError):
             solve_sinkhorn(c, epsilon=-1.0)
+        with pytest.raises(ValidationError):
+            solve_sinkhorn(c, epsilon=float("nan"))
+        with pytest.raises(ValidationError):
+            solve_sinkhorn(c, epsilon=float("inf"))
+
+
+_PARITY_CASES = {
+    # The benchmark shape: 256 chunks of 16 samples at epsilon 1.
+    "m256_eps1": (0, 256, 16, lambda v: 1.0, {}),
+    # The 8-point cases of TestSolveSinkhorn.
+    "m8_marginals": (13, 8, 2, lambda v: 0.05 * float(v.mean()), {}),
+    "m8_eps_mean": (14, 8, 2, lambda v: float(v.mean()), {"max_iter": 5000}),
+    "m8_eps_0.1mean": (14, 8, 2, lambda v: 0.1 * float(v.mean()), {"max_iter": 5000}),
+    "m8_eps_0.01mean": (14, 8, 2, lambda v: 0.01 * float(v.mean()), {"max_iter": 5000}),
+    "m8_converges": (15, 8, 2, lambda v: 0.5 * float(v.mean()), {}),
+    "m8_unconverged": (16, 8, 2, lambda v: 0.001 * float(v.mean()), {"max_iter": 5, "tol": 1e-30}),
+    # 12 of the 16 rows of exp(-C / epsilon) underflow to 0 here, so the
+    # kernel only stays usable because the potentials are absorbed.
+    "m16_cmax_2e5eps": (17, 16, 2, lambda v: float(v.max()) / 2e5, {}),
+}
+
+
+@pytest.mark.parametrize("case", list(_PARITY_CASES))
+def test_sinkhorn_matches_log_domain_reference(case):
+    seed, m, d, eps_of, kwargs = _PARITY_CASES[case]
+    c = cost_matrix(*_random_points(np.random.default_rng(seed), m, d))
+    eps = eps_of(c.values)
+    plan = solve_sinkhorn(c, epsilon=eps, **kwargs)
+    pi, iterations, converged = _reference_sinkhorn(c, eps, **kwargs)
+    assert plan.iterations == iterations
+    assert plan.converged == converged
+    assert np.all(np.isfinite(plan.pi))
+    # The exponent (f + g - C) / epsilon carries a rounding error of about
+    # ulp * max(C) / epsilon in any float64 solver, which sets the floor
+    # once max(C) / epsilon passes ~1e4.
+    floor = float(c.values.max()) / eps * np.finfo(np.float64).eps
+    assert np.abs(plan.pi - pi).max() <= max(1e-12, floor) / c.m
+
+
+_point_sets = st.tuples(
+    st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 4)
+).map(lambda t: _random_points(np.random.default_rng(t[0]), t[1], t[2]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    points=_point_sets,
+    eps_frac=st.floats(1e-3, 4.0),
+    max_iter=st.integers(1, 300),
+    tol=st.sampled_from([1e-3, 1e-6, 1e-9]),
+)
+def test_sinkhorn_invariants(points, eps_frac, max_iter, tol):
+    c = cost_matrix(*points)
+    plan = solve_sinkhorn(c, epsilon=eps_frac * float(c.values.mean()), max_iter=max_iter, tol=tol)
+    assert np.all(plan.pi >= 0)
+    assert np.abs(plan.pi.sum(axis=1) - 1.0 / c.m).max() <= 1e-12
+    assert np.abs(plan.pi.sum(axis=0) - 1.0 / c.m).max() <= 1e-12
+    assert plan.converged == (plan.residual < tol)
+    assert 1 <= plan.iterations <= max_iter
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(points=_point_sets)
+def test_exact_is_a_bijection_no_costlier_than_independent(points):
+    c = cost_matrix(*points)
+    sigma = solve_exact(c).sigma
+    assert np.array_equal(np.sort(sigma), np.arange(c.m))
+    # The identity pairing is the independent coupling of the same noise.
+    assert transport_cost(c, sigma) <= transport_cost(c, np.arange(c.m)) + 1e-9
 
 
 class TestPlanToPairs:
@@ -185,6 +305,13 @@ class TestPlanToPairs:
     def test_rejects_zero_row(self):
         pi = np.zeros((3, 3))
         pi[0, 0] = pi[1, 1] = 1.0 / 3.0
+        plan = TransportPlan(pi, epsilon=0.1)
+        with pytest.raises(ValidationError):
+            plan_to_pairs(plan, np.random.default_rng(0))
+
+    def test_rejects_nan_row(self):
+        pi = np.full((3, 3), 1.0 / 9.0)
+        pi[1] = np.nan
         plan = TransportPlan(pi, epsilon=0.1)
         with pytest.raises(ValidationError):
             plan_to_pairs(plan, np.random.default_rng(0))

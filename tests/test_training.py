@@ -35,6 +35,12 @@ class TestTrainConfig:
             TrainConfig(iterations=5, cond_dropout=1.5)
         with pytest.raises(ConfigError):
             TrainConfig(iterations=5, coupling="sorted")
+        for bad in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                TrainConfig(iterations=5, lr=bad)
+            with pytest.raises(ConfigError):
+                TrainConfig(iterations=5, coupling="chunked_ot", chunk_size=2,
+                            ot_method="sinkhorn", sinkhorn_epsilon=bad)
 
 
 class TestTrain:
