@@ -21,21 +21,13 @@ from .exceptions import (
 )
 from .nn.checkpoint import load_checkpoint, save_checkpoint
 from .nn.model import ModelConfig
-from .sampler import gfb_transfer, integrate, schedule_raised_cosine, schedule_uniform
+from .sampler import SCHEDULES, gfb_transfer, integrate
 from .signalio import load_signals, read_csv, save_signals, write_csv
 from .svgplot import PALETTE, SvgFigure
-from .tasks import TaskSpec, gen_cond_ring, gen_eight_gaussians, gen_two_moons, gen_checkerboard, make_training_stream
+from .tasks import TaskSpec, make_training_stream
 from .training import TrainConfig, train
 
 __all__ = ["main"]
-
-
-def _build_schedule(name: str, steps: int):
-    if name == "raised_cosine":
-        return schedule_raised_cosine(steps)
-    if name == "uniform":
-        return schedule_uniform(steps)
-    raise ConfigError(f"unknown schedule {name!r}")
 
 
 def _section(cfg: dict, name: str) -> dict:
@@ -92,7 +84,7 @@ def _cmd_curvature(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     fig = SvgFigure(title="trajectory curvature", xlabel="flow time", ylabel="curvature")
-    schedule = _build_schedule(args.schedule, args.steps)
+    schedule = SCHEDULES[args.schedule](args.steps)
     for i, ckpt_path in enumerate(args.checkpoint):
         model, _, extra = load_checkpoint(ckpt_path)
         label = Path(ckpt_path).stem if len(args.checkpoint) == 1 else Path(ckpt_path).parent.name
@@ -153,7 +145,7 @@ def _cmd_bridge(args) -> int:
         )
     condition = _parse_condition(args.condition, values.shape[0], model.config.cond_dim)
     gamma = _parse_float("--gamma", args.gamma)
-    schedule = _build_schedule(args.schedule, args.steps)
+    schedule = SCHEDULES[args.schedule](args.steps)
     result = gfb_transfer(
         model, values.astype(model.config.np_dtype), schedule, condition,
         gamma=gamma, method=args.method,
@@ -172,63 +164,51 @@ def _cmd_bridge(args) -> int:
     return 0
 
 
-def _eval_planar(model, extra, gamma, schedule, method, samples, rng):
-    family = extra["task"]["family"]
-    n = model.config.signal_length
-    z = rng.standard_normal((samples, n)).astype(model.config.np_dtype)
-    if family == "cond_ring":
-        ref, cond = gen_cond_ring(samples, rng)
-        traj = integrate(
-            model, z, schedule, direction="backward", method=method,
-            condition=cond, gamma=gamma,
+def _eval(model, task, gamma, schedule, method, samples, rng) -> tuple[str, float]:
+    """Score one guidance weight against a reference batch from the task's own stream.
+
+    Planar tasks decode Gaussian noise, drawn before the batch, and report the
+    W2 distance to it; signal tasks bridge the batch under its own conditions
+    and report the mean round-trip SDR.
+    """
+    dt = model.config.np_dtype
+    if task.family == "toy_signal":
+        batch = next(make_training_stream(task, samples, rng))
+        result = gfb_transfer(
+            model, batch.values.astype(dt), schedule, batch.condition, gamma=gamma, method=method
         )
-    else:
-        draw = {
-            "two_moons": gen_two_moons,
-            "checkerboard": gen_checkerboard,
-            "eight_gaussians": gen_eight_gaussians,
-        }[family]
-        ref = draw(samples, rng)
-        traj = integrate(model, z, schedule, direction="backward", method=method)
-    return empirical_w2(traj.final.astype(np.float64), ref.astype(np.float64))
-
-
-def _eval_signal(model, extra, gamma, schedule, method, samples, rng):
-    task = TaskSpec(**extra["task"])
-    stream = make_training_stream(task, samples, rng)
-    batch = next(stream)
-    result = gfb_transfer(
-        model, batch.values.astype(model.config.np_dtype), schedule,
-        batch.condition, gamma=gamma, method=method,
+        scores = [sdr(x, y) for x, y in zip(batch.values, result.output)]
+        return "round_trip_sdr", float(np.mean(scores))
+    z = rng.standard_normal((samples, model.config.signal_length)).astype(dt)
+    batch = next(make_training_stream(task, samples, rng))
+    traj = integrate(
+        model, z, schedule, direction="backward", method=method,
+        condition=batch.condition, gamma=gamma,
     )
-    scores = [sdr(batch.values[i], result.output[i]) for i in range(samples)]
-    return float(np.mean(scores))
+    return "w2", empirical_w2(traj.final.astype(np.float64), batch.values.astype(np.float64))
 
 
 def _cmd_eval(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     gammas = _parse_floats("--gammas", args.gammas)
-    schedule = _build_schedule(args.schedule, args.steps)
+    schedule = SCHEDULES[args.schedule](args.steps)
     rows = []
     for ckpt_path in args.checkpoint:
         model, _, extra = load_checkpoint(ckpt_path)
-        if "task" not in extra:
-            raise CheckpointError(f"{ckpt_path}: checkpoint lacks task metadata")
-        family = extra["task"]["family"]
-        chunk = extra.get("train", {}).get("chunk_size")
-        coupling = extra.get("train", {}).get("coupling", "")
+        task_raw, train_raw = extra.get("task"), extra.get("train", {})
+        if not isinstance(task_raw, dict) or not isinstance(train_raw, dict):
+            raise CheckpointError(f"{ckpt_path}: checkpoint task and train metadata must be objects")
+        try:
+            task = TaskSpec(**task_raw)
+        except (TypeError, ConfigError) as exc:
+            raise CheckpointError(f"{ckpt_path}: invalid task metadata ({exc})") from exc
+        chunk = train_raw.get("chunk_size")
+        coupling = train_raw.get("coupling", "")
         label = Path(ckpt_path).parent.name
         for gamma in gammas:
             rng = np.random.default_rng(args.seed)
-            if family == "toy_signal":
-                metric, value = "round_trip_sdr", _eval_signal(
-                    model, extra, gamma, schedule, args.method, args.samples, rng
-                )
-            else:
-                metric, value = "w2", _eval_planar(
-                    model, extra, gamma, schedule, args.method, args.samples, rng
-                )
+            metric, value = _eval(model, task, gamma, schedule, args.method, args.samples, rng)
             rows.append((label, coupling, "" if chunk is None else chunk, gamma, metric, value))
             print(f"{label} gamma={gamma:g}: {metric}={value:.6g}")
     write_csv(
@@ -266,6 +246,12 @@ def _cmd_plot(args) -> int:
     return 0
 
 
+def _add_sampling_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--steps", type=int, default=25)
+    p.add_argument("--method", default="euler", choices=["euler", "midpoint"])
+    p.add_argument("--schedule", default="raised_cosine", choices=list(SCHEDULES))
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flowbridge",
@@ -284,9 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", action="append", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--samples", type=int, default=64)
-    p.add_argument("--steps", type=int, default=25)
-    p.add_argument("--method", default="euler", choices=["euler", "midpoint"])
-    p.add_argument("--schedule", default="raised_cosine", choices=["raised_cosine", "uniform"])
+    _add_sampling_args(p)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_curvature)
 
@@ -295,9 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--gamma", default="1.0")
-    p.add_argument("--steps", type=int, default=25)
-    p.add_argument("--method", default="euler", choices=["euler", "midpoint"])
-    p.add_argument("--schedule", default="raised_cosine", choices=["raised_cosine", "uniform"])
+    _add_sampling_args(p)
     p.add_argument("--condition", default=None, help="comma-separated descriptor values")
     p.set_defaults(fn=_cmd_bridge)
 
@@ -306,9 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--gammas", default="0,0.5,1,1.5,2")
     p.add_argument("--samples", type=int, default=512)
-    p.add_argument("--steps", type=int, default=25)
-    p.add_argument("--method", default="euler", choices=["euler", "midpoint"])
-    p.add_argument("--schedule", default="raised_cosine", choices=["raised_cosine", "uniform"])
+    _add_sampling_args(p)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_eval)
 

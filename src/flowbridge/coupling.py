@@ -70,12 +70,6 @@ class SignalBatch:
     def length(self) -> int:
         return self.values.shape[1]
 
-    def resolved_present(self) -> np.ndarray:
-        if self.present is not None:
-            return self.present
-        b = self.values.shape[0]
-        return np.full(b, self.condition is not None)
-
 
 @dataclass(frozen=True)
 class Coupling:

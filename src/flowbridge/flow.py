@@ -18,19 +18,7 @@ from .coupling import Coupling
 from .exceptions import ShapeError, ValidationError
 from .nn.model import VectorFieldModel
 
-__all__ = ["PathPoint", "CfmLossReport", "interpolate", "cfm_target", "cfm_loss", "cfg_combine"]
-
-
-@dataclass(frozen=True)
-class PathPoint:
-    """A batch of states on the linear path at per-sample times."""
-
-    values: np.ndarray
-    tau: np.ndarray
-
-    def __post_init__(self):
-        if self.tau.shape != (self.values.shape[0],):
-            raise ShapeError(f"tau must be ({self.values.shape[0]},), got {self.tau.shape}")
+__all__ = ["CfmLossReport", "interpolate", "cfm_target", "cfm_loss", "cfg_combine"]
 
 
 @dataclass(frozen=True)
@@ -50,13 +38,12 @@ def _broadcast_tau(tau, batch_size: int) -> np.ndarray:
     return tau
 
 
-def interpolate(x0: np.ndarray, x1: np.ndarray, tau) -> PathPoint:
-    """Point on the straight path: (1 - tau) * x0 + tau * x1."""
+def interpolate(x0: np.ndarray, x1: np.ndarray, tau) -> np.ndarray:
+    """Points on the straight path: (1 - tau) * x0 + tau * x1, tau scalar or per row."""
     if x0.shape != x1.shape:
         raise ShapeError(f"endpoint shape mismatch: {x0.shape} vs {x1.shape}")
-    tau = _broadcast_tau(tau, x0.shape[0])
-    w = tau[:, None].astype(x0.dtype)
-    return PathPoint((1.0 - w) * x0 + w * x1, tau)
+    w = _broadcast_tau(tau, x0.shape[0])[:, None].astype(x0.dtype)
+    return (1.0 - w) * x0 + w * x1
 
 
 def cfm_target(coupling: Coupling) -> np.ndarray:
@@ -79,14 +66,14 @@ def cfm_loss(
     """
     b = coupling.batch_size
     tau = _broadcast_tau(tau, b)
-    point = interpolate(coupling.x0, coupling.x1, tau)
+    xt = interpolate(coupling.x0, coupling.x1, tau)
     target = cfm_target(coupling)
     present = coupling.resolved_present()
     if drop_condition is not None:
         if drop_condition.shape != (b,):
             raise ShapeError(f"drop_condition must be ({b},), got {drop_condition.shape}")
         present = present & ~drop_condition
-    out = model.forward(point.values, point.tau, coupling.condition, present)
+    out = model.forward(xt, tau, coupling.condition, present)
     r = out.data - target.astype(out.data.dtype)
     per_sample = np.mean(r * r, axis=1)
     loss = float(np.mean(r * r))

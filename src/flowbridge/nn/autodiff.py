@@ -250,7 +250,12 @@ def slice_last(x: Tensor, start: int, stop: int) -> Tensor:
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
+    """x viewed with a new shape; x itself when the shape does not change."""
+    out = x.data.reshape(shape)
+    if out.shape == x.data.shape:
+        return x
+
     def backward(g):
         _accumulate(x, g.reshape(x.data.shape))
 
-    return _node(x.data.reshape(shape), (x,), backward)
+    return _node(out, (x,), backward)

@@ -84,9 +84,12 @@ def load_checkpoint(path: str | Path) -> tuple[VectorFieldModel, Adam | None, di
     except (KeyError, TypeError) as exc:
         raise CheckpointError(f"{path}: invalid model config ({exc})") from exc
     model = VectorFieldModel(config, np.random.default_rng(0))
-    manifest = header.get("params", [])
-    if [m[0] for m in manifest] != model.param_names():
+    expected = [[name, list(p.data.shape)] for name, p in model.params.items()]
+    if header.get("params") != expected:
         raise CheckpointError(f"{path}: parameter manifest does not match model config")
+    extra = header.get("extra", {})
+    if not isinstance(extra, dict):
+        raise CheckpointError(f"{path}: extra metadata must be an object")
     wire = np.dtype(_WIRE[config.dtype])
 
     def take(shape):
@@ -99,10 +102,8 @@ def load_checkpoint(path: str | Path) -> tuple[VectorFieldModel, Adam | None, di
         offset += nbytes
         return arr.astype(config.np_dtype).reshape(shape)
 
-    for (name, shape), p in zip(manifest, model.params.values()):
-        if list(p.data.shape) != list(shape):
-            raise CheckpointError(f"{path}: parameter {name} has shape {shape}, expected {list(p.data.shape)}")
-        p.data = take(shape)
+    for p in model.params.values():
+        p.data = take(p.data.shape)
 
     optimizer = None
     meta = header.get("optimizer")
@@ -124,4 +125,4 @@ def load_checkpoint(path: str | Path) -> tuple[VectorFieldModel, Adam | None, di
         optimizer.v = [take(p.data.shape) for p in model.parameters()]
     if offset != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - offset} trailing bytes after payload")
-    return model, optimizer, header.get("extra", {})
+    return model, optimizer, extra

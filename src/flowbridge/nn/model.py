@@ -41,10 +41,12 @@ class ModelConfig:
             raise ConfigError(f"unknown dtype {self.dtype!r}")
         if self.signal_length < 1 or self.hidden < 1 or self.depth < 1:
             raise ConfigError("signal_length, hidden and depth must be positive")
-        if self.cond_dim < 0:
-            raise ConfigError("cond_dim must be >= 0")
-        if self.kernel_size % 2 != 1:
-            raise ConfigError(f"kernel_size must be odd, got {self.kernel_size}")
+        if self.cond_dim < 0 or self.cond_embed < 0 or self.time_features < 0:
+            raise ConfigError("cond_dim, cond_embed and time_features must be >= 0")
+        if self.kernel_size < 1 or self.kernel_size % 2 != 1:
+            raise ConfigError(f"kernel_size must be positive and odd, got {self.kernel_size}")
+        if not (np.isfinite(self.max_time_freq) and self.max_time_freq > 0):
+            raise ConfigError(f"max_time_freq must be finite and positive, got {self.max_time_freq}")
 
     @property
     def np_dtype(self):
@@ -60,6 +62,10 @@ def time_embedding(tau: np.ndarray, n_features: int, max_freq: float, dtype) -> 
     freqs = np.geomspace(1.0, max_freq, n_features)
     ang = 2.0 * np.pi * tau[:, None] * freqs[None, :]
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1).astype(dtype)
+
+
+def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    return ad.add(ad.matmul(x, w), b)
 
 
 class VectorFieldModel:
@@ -95,32 +101,24 @@ class VectorFieldModel:
         param("ctx_w", (ctx_in, h), np.sqrt(2.0 / ctx_in))
         param("ctx_b", (h,), 0.0)
 
-        if config.backbone == "mlp":
-            n = config.signal_length
-            param("in_w", (n, h), 1.0 / np.sqrt(n))
-            param("in_b", (h,), 0.0)
-            for i in range(d):
-                param(f"film{i}_w", (h, 2 * h), 0.0)
-                param(f"film{i}_b", (2 * h,), 0.0)
-                param(f"block{i}_w1", (h, h), np.sqrt(2.0 / h))
-                param(f"block{i}_b1", (h,), 0.0)
-                param(f"block{i}_w2", (h, h), 1.0 / np.sqrt(h))
-                param(f"block{i}_b2", (h,), 0.0)
-            param("out_w", (h, n), 0.0)
-            param("out_b", (n,), 0.0)
-        else:
-            k = config.kernel_size
-            param("in_w", (h, 1, k), 1.0 / np.sqrt(k))
-            param("in_b", (h,), 0.0)
-            for i in range(d):
-                param(f"film{i}_w", (h, 2 * h), 0.0)
-                param(f"film{i}_b", (2 * h,), 0.0)
-                param(f"block{i}_w1", (h, h, k), np.sqrt(2.0 / (h * k)))
-                param(f"block{i}_b1", (h,), 0.0)
-                param(f"block{i}_w2", (h, h, k), 1.0 / np.sqrt(h * k))
-                param(f"block{i}_b2", (h,), 0.0)
-            param("out_w", (1, h, 1), 0.0)
-            param("out_b", (1,), 0.0)
+        # One layout for both backbones: the MLP is the conv backbone with
+        # kernel 1 whose single position holds the whole signal as channels.
+        n = config.signal_length
+        dense = config.backbone == "mlp"
+        k = 1 if dense else config.kernel_size
+        c = n if dense else 1
+
+        def mixer(w_name, b_name, c_in, c_out, width, scale):
+            param(w_name, (c_in, c_out) if dense else (c_out, c_in, width), scale)
+            param(b_name, (c_out,), 0.0)
+
+        mixer("in_w", "in_b", c, h, k, 1.0 / np.sqrt(c * k))
+        for i in range(d):
+            param(f"film{i}_w", (h, 2 * h), 0.0)
+            param(f"film{i}_b", (2 * h,), 0.0)
+            mixer(f"block{i}_w1", f"block{i}_b1", h, h, k, np.sqrt(2.0 / (h * k)))
+            mixer(f"block{i}_w2", f"block{i}_b2", h, h, k, 1.0 / np.sqrt(h * k))
+        mixer("out_w", "out_b", h, c, 1, 0.0)
 
     def parameters(self) -> list[Tensor]:
         return list(self.params.values())
@@ -131,9 +129,6 @@ class VectorFieldModel:
     def zero_grad(self):
         for p in self.params.values():
             p.zero_grad()
-
-    def n_parameters(self) -> int:
-        return sum(p.data.size for p in self.params.values())
 
     def _context(self, tau: np.ndarray, condition, present: np.ndarray) -> Tensor:
         """Context rows for tau (R,) and flags present (R,); absent rows embed null_cond."""
@@ -153,12 +148,12 @@ class VectorFieldModel:
             # Zero absent rows *before* the matmul so their payload (possibly
             # NaN) never reaches the parameters.
             cond_in = np.where(present[:, None], condition, 0.0).astype(dt)
-            real = ad.add(ad.matmul(Tensor(cond_in), self.params["cond_w"]), self.params["cond_b"])
+            real = _linear(Tensor(cond_in), self.params["cond_w"], self.params["cond_b"])
         else:
             real = Tensor(np.zeros((rows, 1), dtype=dt))
         emb = ad.where(present[:, None], real, self.params["null_cond"])
         ctx_in = ad.concat([temb, emb, Tensor(present.astype(dt)[:, None])], axis=1)
-        return ad.silu(ad.add(ad.matmul(ctx_in, self.params["ctx_w"]), self.params["ctx_b"]))
+        return ad.silu(_linear(ctx_in, self.params["ctx_w"], self.params["ctx_b"]))
 
     def forward(
         self,
@@ -189,26 +184,18 @@ class VectorFieldModel:
         xt = Tensor(np.asarray(x, dtype=dt))
         p = self.params
         if cfg.backbone == "mlp":
-            h = ad.add(ad.matmul(xt, p["in_w"]), p["in_b"])
-            for i in range(cfg.depth):
-                film = ad.add(ad.matmul(ctx, p[f"film{i}_w"]), p[f"film{i}_b"])
-                s = ad.slice_last(film, 0, cfg.hidden)
-                t = ad.slice_last(film, cfg.hidden, 2 * cfg.hidden)
-                u = ad.add(ad.mul(h, ad.add(s, 1.0)), t)
-                z = ad.silu(ad.add(ad.matmul(u, p[f"block{i}_w1"]), p[f"block{i}_b1"]))
-                h = ad.add(h, ad.add(ad.matmul(z, p[f"block{i}_w2"]), p[f"block{i}_b2"]))
-            return ad.add(ad.matmul(h, p["out_w"]), p["out_b"])
-        x3 = ad.reshape(xt, (b, 1, cfg.signal_length))
-        h = ad.conv1d(x3, p["in_w"], p["in_b"])
+            mix, x_shape, feat_shape = _linear, (b, cfg.signal_length), (-1, cfg.hidden)
+        else:
+            mix, x_shape, feat_shape = ad.conv1d, (b, 1, cfg.signal_length), (-1, cfg.hidden, 1)
+        h = mix(ad.reshape(xt, x_shape), p["in_w"], p["in_b"])
         for i in range(cfg.depth):
-            film = ad.add(ad.matmul(ctx, p[f"film{i}_w"]), p[f"film{i}_b"])
-            s = ad.reshape(ad.slice_last(film, 0, cfg.hidden), (-1, cfg.hidden, 1))
-            t = ad.reshape(ad.slice_last(film, cfg.hidden, 2 * cfg.hidden), (-1, cfg.hidden, 1))
+            film = _linear(ctx, p[f"film{i}_w"], p[f"film{i}_b"])
+            s = ad.reshape(ad.slice_last(film, 0, cfg.hidden), feat_shape)
+            t = ad.reshape(ad.slice_last(film, cfg.hidden, 2 * cfg.hidden), feat_shape)
             u = ad.add(ad.mul(h, ad.add(s, 1.0)), t)
-            z = ad.silu(ad.conv1d(u, p[f"block{i}_w1"], p[f"block{i}_b1"]))
-            h = ad.add(h, ad.conv1d(z, p[f"block{i}_w2"], p[f"block{i}_b2"]))
-        out = ad.conv1d(h, p["out_w"], p["out_b"])
-        return ad.reshape(out, (b, cfg.signal_length))
+            z = ad.silu(mix(u, p[f"block{i}_w1"], p[f"block{i}_b1"]))
+            h = ad.add(h, mix(z, p[f"block{i}_w2"], p[f"block{i}_b2"]))
+        return ad.reshape(mix(h, p["out_w"], p["out_b"]), (b, cfg.signal_length))
 
     def velocity(
         self,

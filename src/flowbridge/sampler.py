@@ -8,7 +8,7 @@ encode/decode round trip visits the same times in opposite order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,9 +20,9 @@ __all__ = [
     "TimeSchedule",
     "schedule_uniform",
     "schedule_raised_cosine",
+    "SCHEDULES",
     "Trajectory",
     "integrate",
-    "BridgeRequest",
     "BridgeResult",
     "gfb_transfer",
 ]
@@ -63,6 +63,10 @@ def schedule_raised_cosine(n_steps: int = 25) -> TimeSchedule:
         raise ValidationError(f"n_steps must be >= 1, got {n_steps}")
     i = np.arange(n_steps + 1, dtype=np.float64)
     return TimeSchedule(0.5 + 0.5 * np.cos(np.pi * i / n_steps + np.pi))
+
+
+# Schedule name -> builder taking the number of steps.
+SCHEDULES = {"raised_cosine": schedule_raised_cosine, "uniform": schedule_uniform}
 
 
 @dataclass(frozen=True)
@@ -165,23 +169,6 @@ def integrate(
         states[i + 1] = x
         velocities[i] = v
     return Trajectory(states, velocities, np.asarray(taus, dtype=np.float64), direction)
-
-
-@dataclass(frozen=True)
-class BridgeRequest:
-    """How to run a domain transfer: guidance weight, schedule, integrator."""
-
-    gamma: float = 1.0
-    n_steps: int = 25
-    method: str = "euler"
-    schedule: str = "raised_cosine"
-
-    def build_schedule(self) -> TimeSchedule:
-        if self.schedule == "raised_cosine":
-            return schedule_raised_cosine(self.n_steps)
-        if self.schedule == "uniform":
-            return schedule_uniform(self.n_steps)
-        raise ValidationError(f"unknown schedule {self.schedule!r}")
 
 
 @dataclass(frozen=True)

@@ -42,11 +42,12 @@ def load_signals(path: str | Path) -> tuple[np.ndarray, float | None]:
         raise ValidationError(
             f"{sidecar_path}: sidecar shape must be two non-negative integers, got {list(shape)}"
         )
-    raw = np.frombuffer(path.read_bytes(), dtype="<f4")
-    if raw.size != int(np.prod(shape)):
+    payload = path.read_bytes()
+    if len(payload) != 4 * shape[0] * shape[1]:
         raise ValidationError(
-            f"{path}: payload holds {raw.size} samples, sidecar says {shape}"
+            f"{path}: payload holds {len(payload)} bytes, sidecar says {shape} float32 samples"
         )
+    raw = np.frombuffer(payload, dtype="<f4")
     return raw.reshape(shape).astype(np.float32), meta.get("fs")
 
 

@@ -6,8 +6,12 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from flowbridge.analysis import empirical_w2
 from flowbridge.cli import main
+from flowbridge.nn import load_checkpoint, save_checkpoint
+from flowbridge.sampler import SCHEDULES, integrate
 from flowbridge.signalio import load_signals, read_csv, save_signals
+from flowbridge.tasks import gen_two_moons
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +85,9 @@ def test_train_unknown_task_key(tmp_path, capsys):
     assert "task section" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("override", ["train.sinkhorn_epsilon=NaN", "train.lr=Infinity"])
+@pytest.mark.parametrize(
+    "override", ["train.sinkhorn_epsilon=NaN", "train.lr=Infinity", "model.max_time_freq=Infinity"]
+)
 def test_train_rejects_non_finite_hyperparameter(tmp_path, capsys, override):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
@@ -228,6 +234,49 @@ def test_eval_command(planar_run, tmp_path, capsys):
     assert {r[4] for r in rows} == {"w2"}
     assert all(float(r[5]) >= 0.0 for r in rows)
     assert "w2=" in capsys.readouterr().out
+
+
+def test_eval_reference_uses_trained_seed_noise(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "task": {"family": "two_moons", "seed_noise": 0.2},
+        "model": {"hidden": 8, "depth": 1},
+        "train": {"iterations": 2, "batch_size": 4},
+    }))
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_path), "--out", str(run)]) == 0
+    rc = main([
+        "eval", "--checkpoint", str(run / "model.fbc"), "--out", str(tmp_path / "ev"),
+        "--gammas", "1", "--samples", "32", "--steps", "4",
+    ])
+    assert rc == 0
+    _, rows = read_csv(tmp_path / "ev" / "eval.csv")
+    model, _, _ = load_checkpoint(run / "model.fbc")
+    rng = np.random.default_rng(0)
+    z = rng.standard_normal((32, 2)).astype(np.float32)
+    ref = gen_two_moons(32, rng, noise=0.2)
+    final = integrate(model, z, SCHEDULES["raised_cosine"](4), direction="backward").final
+    assert float(rows[0][5]) == empirical_w2(final.astype(np.float64), ref.astype(np.float64))
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        {"task": {"n": 2}},
+        {"task": "two_moons"},
+        {"task": {"family": "two_moons"}, "train": 5},
+    ],
+    ids=["no_family", "task_not_object", "train_not_object"],
+)
+def test_eval_rejects_malformed_task_metadata(planar_run, tmp_path, capsys, extra):
+    model, _, _ = load_checkpoint(planar_run / "model.fbc")
+    ckpt = tmp_path / "m" / "model.fbc"
+    ckpt.parent.mkdir()
+    save_checkpoint(ckpt, model, extra=extra)
+    rc = main(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "ev"), "--gammas", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("gammas", ["a", "0,", "1,nan"])

@@ -40,10 +40,11 @@ class TestSignalBatch:
             )
 
     def test_present_defaults(self):
+        rng = np.random.default_rng(0)
         plain = SignalBatch(np.zeros((3, 4), dtype=np.float32))
-        assert not plain.resolved_present().any()
-        conditioned = _batch(np.random.default_rng(0), k=2)
-        assert conditioned.resolved_present().all()
+        assert not couple_independent(plain, rng).resolved_present().any()
+        conditioned = _batch(rng, k=2)
+        assert couple_independent(conditioned, rng).resolved_present().all()
 
     def test_present_without_condition_rejected(self):
         with pytest.raises(ValidationError):

@@ -28,13 +28,13 @@ class TestInterpolate:
     def test_endpoints(self):
         rng = np.random.default_rng(0)
         c = _coupling(rng)
-        assert np.array_equal(interpolate(c.x0, c.x1, 0.0).values, c.x0)
-        assert np.array_equal(interpolate(c.x0, c.x1, 1.0).values, c.x1)
+        assert np.array_equal(interpolate(c.x0, c.x1, 0.0), c.x0)
+        assert np.array_equal(interpolate(c.x0, c.x1, 1.0), c.x1)
 
     def test_midpoint(self):
         rng = np.random.default_rng(1)
         c = _coupling(rng)
-        mid = interpolate(c.x0, c.x1, 0.5).values
+        mid = interpolate(c.x0, c.x1, 0.5)
         assert np.allclose(mid, 0.5 * (c.x0 + c.x1), atol=1e-7)
 
     def test_per_sample_tau(self):
@@ -42,8 +42,8 @@ class TestInterpolate:
         c = _coupling(rng, b=3)
         tau = np.array([0.0, 0.5, 1.0])
         pt = interpolate(c.x0, c.x1, tau)
-        assert np.array_equal(pt.values[0], c.x0[0])
-        assert np.array_equal(pt.values[2], c.x1[2])
+        assert np.array_equal(pt[0], c.x0[0])
+        assert np.array_equal(pt[2], c.x1[2])
 
     def test_rejects_out_of_range(self):
         rng = np.random.default_rng(3)
@@ -72,8 +72,8 @@ class TestCfmTarget:
         h = 1e-3
         for tau in (0.2, 0.5, 0.8):
             fd = (
-                interpolate(c.x0, c.x1, tau + h).values.astype(np.float64)
-                - interpolate(c.x0, c.x1, tau - h).values.astype(np.float64)
+                interpolate(c.x0, c.x1, tau + h).astype(np.float64)
+                - interpolate(c.x0, c.x1, tau - h).astype(np.float64)
             ) / (2 * h)
             assert np.allclose(fd, cfm_target(c), atol=1e-3)
 
@@ -131,8 +131,8 @@ class TestCfmLoss:
             p.data = p.data + 0.1 * rng.standard_normal(p.data.shape)
         tau = np.array([0.4, 0.4])
         drop = np.array([False, True])
-        point = interpolate(c.x0, c.x1, tau)
-        v_drop = model.velocity(point.values, tau, c.condition, np.array([True, False]))
+        xt = interpolate(c.x0, c.x1, tau)
+        v_drop = model.velocity(xt, tau, c.condition, np.array([True, False]))
         report_drop = cfm_loss(model, c, tau, drop_condition=drop, backward=False)
         u = cfm_target(c).astype(np.float64)
         want = np.mean((v_drop - u) ** 2, axis=1)

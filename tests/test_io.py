@@ -1,10 +1,14 @@
 """Tests for config handling, signal/CSV files, and SVG rendering."""
 
 import json
+import tempfile
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flowbridge.config import apply_overrides, dump_config, load_config
 from flowbridge.exceptions import ConfigError, CsvFormatError, ValidationError
@@ -99,6 +103,27 @@ class TestSignalFiles:
         p.write_bytes(b"\x00" * 16)
         with pytest.raises(ValidationError):
             load_signals(p)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(pos=st.integers(0, 63), truncate=st.booleans(), byte=st.integers(0, 255))
+    @example(pos=63, truncate=True, byte=0)
+    def test_fuzzed_payload_raises_only_validation_errors(self, pos, truncate, byte):
+        x = np.arange(16, dtype=np.float32).reshape(2, 8)
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "sig.fbs"
+            save_signals(p, x, fs=8000.0)
+            raw = bytearray(p.read_bytes())
+            if truncate:
+                del raw[pos:]
+            else:
+                raw[pos] = byte
+            p.write_bytes(bytes(raw))
+            try:
+                y, _ = load_signals(p)
+            except ValidationError:
+                assert truncate
+            else:
+                assert not truncate and y.shape == x.shape
 
 
 class TestCsv:

@@ -7,10 +7,14 @@ second autodiff implementation.
 
 import json
 import struct
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowbridge.exceptions import CheckpointError, ConfigError, ShapeError, ValidationError
 from flowbridge.nn import (
@@ -370,12 +374,21 @@ class TestVectorFieldModel:
             assert np.allclose(batched[i], single[0], atol=1e-12)
 
     def test_config_validation(self):
-        with pytest.raises(ConfigError):
-            ModelConfig(signal_length=8, backbone="transformer")
-        with pytest.raises(ConfigError):
-            ModelConfig(signal_length=8, kernel_size=4)
-        with pytest.raises(ConfigError):
-            ModelConfig(signal_length=0)
+        bad = [
+            {"backbone": "transformer"},
+            {"kernel_size": 4},
+            {"signal_length": 0},
+            {"kernel_size": -1},
+            {"time_features": -1},
+            {"cond_embed": -1},
+            {"max_time_freq": 0.0},
+            {"max_time_freq": -50.0},
+            {"max_time_freq": float("nan")},
+            {"max_time_freq": float("inf")},
+        ]
+        for kwargs in bad:
+            with pytest.raises(ConfigError):
+                ModelConfig(**{"signal_length": 8, **kwargs})
 
 
 INFERENCE_CASES = [
@@ -470,6 +483,20 @@ class TestAdam:
         opt = Adam([p], lr=0.1)
         opt.step()
         assert np.array_equal(p.data, np.ones(3))
+
+
+def _saved_with_header(tmp_path, key, edit):
+    """Path of a saved checkpoint (with optimizer) whose header[key] is edit(header[key])."""
+    model = _make_model(cond_dim=2, dtype="float32")
+    path = tmp_path / "edited.fbc"
+    save_checkpoint(path, model, optimizer=Adam(model.parameters()))
+    raw = path.read_bytes()
+    (header_len,) = struct.unpack_from("<I", raw, 12)
+    header = json.loads(raw[16 : 16 + header_len])
+    header[key] = edit(header.get(key))
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(raw[:12] + struct.pack("<I", len(blob)) + blob + raw[16 + header_len :])
+    return path
 
 
 class TestCheckpoint:
@@ -587,14 +614,79 @@ class TestCheckpoint:
         ids=["no_lr", "no_step", "str_lr", "float_step", "negative_step", "list"],
     )
     def test_rejects_bad_optimizer_header(self, tmp_path, optimizer):
-        model = _make_model(dtype="float32")
-        path = tmp_path / "opt.fbc"
-        save_checkpoint(path, model, optimizer=Adam(model.parameters()))
-        raw = path.read_bytes()
-        (header_len,) = struct.unpack_from("<I", raw, 12)
-        header = json.loads(raw[16 : 16 + header_len])
-        header["optimizer"] = optimizer
-        blob = json.dumps(header).encode("utf-8")
-        path.write_bytes(raw[:12] + struct.pack("<I", len(blob)) + blob + raw[16 + header_len :])
+        path = _saved_with_header(tmp_path, "optimizer", lambda _: optimizer)
         with pytest.raises(CheckpointError, match="optimizer header"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "key,edit",
+        [
+            ("params", lambda m: 5),
+            ("params", lambda m: None),
+            ("params", lambda m: [[m[0][0], 7]] + m[1:]),
+            ("params", lambda m: [[]] + m[1:]),
+            ("params", lambda m: [m[0] + ["x"]] + m[1:]),
+            ("extra", lambda e: ["task"]),
+        ],
+        ids=["params_int", "params_null", "shape_int", "empty_entry", "long_entry", "extra_list"],
+    )
+    def test_rejects_bad_manifest_or_extra(self, tmp_path, key, edit):
+        path = _saved_with_header(tmp_path, key, edit)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @settings(max_examples=24, deadline=None, derandomize=True)
+    @given(
+        backbone=st.sampled_from(["mlp", "conv"]),
+        dtype=st.sampled_from(["float32", "float64"]),
+        with_optimizer=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_round_trip_property(self, backbone, dtype, with_optimizer, seed):
+        model = _perturbed_model(backbone, dtype, seed=seed)
+        opt = None
+        if with_optimizer:
+            opt = Adam(model.parameters(), lr=1e-3)
+            rng = np.random.default_rng(seed)
+            for p in model.parameters():
+                p.grad = rng.standard_normal(p.data.shape).astype(p.data.dtype)
+            opt.step()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.fbc"
+            save_checkpoint(path, model, optimizer=opt, extra={"seed": seed})
+            loaded, opt2, extra = load_checkpoint(path)
+        assert loaded.config == model.config and extra == {"seed": seed}
+        assert loaded.param_names() == model.param_names()
+        for a, b in zip(model.parameters(), loaded.parameters()):
+            assert a.data.dtype == b.data.dtype and np.array_equal(a.data, b.data)
+        assert (opt2 is None) == (opt is None)
+        if opt is not None:
+            assert (opt2.step_count, opt2.lr) == (opt.step_count, opt.lr)
+            for a, b in zip(opt.m + opt.v, opt2.m + opt2.v):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+        x = np.random.default_rng(seed).standard_normal((3, 8))
+        cond = np.full((3, 2), 0.5)
+        assert np.array_equal(model.velocity(x, 0.4, cond), loaded.velocity(x, 0.4, cond))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_fuzzed_file_raises_only_checkpoint_errors(self, data):
+        model = _make_model(cond_dim=1, dtype="float32", hidden=4, depth=1)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.fbc"
+            save_checkpoint(path, model, optimizer=Adam(model.parameters()),
+                            extra={"task": {"family": "cond_ring"}})
+            raw = bytearray(path.read_bytes())
+            (header_len,) = struct.unpack_from("<I", raw, 12)
+            body = 16 + header_len
+            region = data.draw(st.sampled_from([(0, body - 1), (body, len(raw) - 1)]), label="region")
+            pos = data.draw(st.integers(*region), label="pos")
+            if data.draw(st.booleans(), label="truncate"):
+                del raw[pos:]
+            else:
+                raw[pos] = data.draw(st.integers(0, 255).filter(lambda v: v != raw[pos]), label="byte")
+            path.write_bytes(bytes(raw))
+            try:
+                load_checkpoint(path)
+            except (CheckpointError, ValidationError):
+                pass

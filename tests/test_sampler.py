@@ -5,10 +5,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from flowbridge.cli import main
 from flowbridge.exceptions import DivergenceError, ShapeError, ValidationError
 from flowbridge.nn import ModelConfig, VectorFieldModel
 from flowbridge.sampler import (
-    BridgeRequest,
+    SCHEDULES,
     TimeSchedule,
     Trajectory,
     gfb_transfer,
@@ -40,6 +41,20 @@ def _decay_field(rate):
 
 
 class TestSchedules:
+    @pytest.mark.parametrize("name,steps", [("uniform", 7), ("raised_cosine", 25), ("quadratic", 25)])
+    def test_schedule_table(self, name, steps, tmp_path, capsys):
+        if name in SCHEDULES:
+            s = SCHEDULES[name](steps)
+            assert s.n_steps == steps
+            assert s.taus[0] == 0.0 and s.taus[-1] == 1.0
+            return
+        # The CLI takes its --schedule choices from the table.
+        with pytest.raises(SystemExit) as exc:
+            main(["curvature", "--checkpoint", str(tmp_path / "m.fbc"), "--out", str(tmp_path),
+                  "--schedule", name, "--steps", str(steps)])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_uniform_spacing(self):
         s = schedule_uniform(4)
         assert np.allclose(s.taus, [0.0, 0.25, 0.5, 0.75, 1.0])
@@ -260,10 +275,3 @@ class TestBridge:
         outs = [gfb_transfer(model, x, s, cond, gamma=g).output for g in (0.0, 1.0, 2.0)]
         assert not np.array_equal(outs[0], outs[1])
         assert not np.array_equal(outs[1], outs[2])
-
-    def test_request_builds_schedules(self):
-        assert BridgeRequest(schedule="uniform", n_steps=7).build_schedule().n_steps == 7
-        s = BridgeRequest(n_steps=25).build_schedule()
-        assert s.taus[0] == 0.0 and s.taus[-1] == 1.0
-        with pytest.raises(ValidationError):
-            BridgeRequest(schedule="quadratic").build_schedule()

@@ -211,7 +211,7 @@ class TestTrainingStream:
         stream = make_training_stream(spec, 8, np.random.default_rng(15))
         batch = next(stream)
         assert batch.condition.shape == (8, 1)
-        assert batch.resolved_present().all()
+        assert batch.present is None
 
     def test_reverb_stream_descriptors(self):
         spec = TaskSpec("toy_signal", n=512, fs=8000.0, degradation="reverb")
