@@ -41,8 +41,8 @@ def curvature(traj: Trajectory) -> np.ndarray:
     (T, B): ||(x_end - x_start) - span * v_k||_2 / sqrt(N), on the scale of a
     per-dimension deviation and comparable across signal lengths.
     """
-    n = traj.states.shape[2]
-    chord = traj.states[-1] - traj.states[0]
+    n = traj.final.shape[1]
+    chord = traj.final - traj.start
     span = float(traj.taus[-1] - traj.taus[0])
     dev = chord[None, :, :] - span * traj.velocities
     return np.linalg.norm(dev, axis=2) / np.sqrt(n)

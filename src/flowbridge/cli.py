@@ -57,7 +57,7 @@ def _cmd_train(args) -> int:
     except TypeError as exc:
         raise ConfigError(f"model section: {exc}") from exc
     train_raw = _section(cfg, "train")
-    train_raw.setdefault("seed", int(cfg.get("seed", 0)))
+    train_raw.setdefault("seed", cfg.get("seed", 0))
     try:
         train_cfg = TrainConfig(**train_raw)
     except TypeError as exc:

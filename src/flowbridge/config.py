@@ -3,11 +3,20 @@
 from __future__ import annotations
 
 import json
+from numbers import Integral
 from pathlib import Path
 
 from .exceptions import ConfigError
 
-__all__ = ["load_config", "dump_config", "apply_overrides"]
+__all__ = ["load_config", "dump_config", "apply_overrides", "check_int_fields"]
+
+
+def check_int_fields(obj, *names: str) -> None:
+    """Raise ConfigError unless each named field of obj is an integer (a bool is not)."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 def load_config(path: str | Path) -> dict:

@@ -31,14 +31,12 @@ __all__ = [
 class SignalBatch:
     """A batch of fixed-length signals with optional conditioning.
 
-    values: (B, N) float32. condition: (B, K) float32 or None. present:
-    (B,) bool marking which rows carry a real condition; None means all
-    present when condition is given, all absent otherwise.
+    values: (B, N) float32. condition: (B, K) float32 or None; when given,
+    every row carries it.
     """
 
     values: np.ndarray
     condition: np.ndarray | None = None
-    present: np.ndarray | None = None
 
     def __post_init__(self):
         v = self.values
@@ -55,20 +53,10 @@ class SignalBatch:
                 raise ShapeError(f"condition must be (B, K) with B={b}, got {c.shape}")
             if c.dtype != np.float32:
                 raise ValidationError(f"condition must be float32, got {c.dtype}")
-        if self.present is not None:
-            p = self.present
-            if p.shape != (b,) or p.dtype != np.bool_:
-                raise ShapeError(f"present must be bool (B,) with B={b}")
-            if self.condition is None and p.any():
-                raise ValidationError("present flags set but no condition array given")
 
     @property
     def batch_size(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def length(self) -> int:
-        return self.values.shape[1]
 
 
 @dataclass(frozen=True)
@@ -82,7 +70,6 @@ class Coupling:
     x0: np.ndarray
     x1: np.ndarray
     condition: np.ndarray | None = None
-    present: np.ndarray | None = None
 
     def __post_init__(self):
         if self.x0.shape != self.x1.shape:
@@ -93,11 +80,6 @@ class Coupling:
     @property
     def batch_size(self) -> int:
         return self.x0.shape[0]
-
-    def resolved_present(self) -> np.ndarray:
-        if self.present is not None:
-            return self.present
-        return np.full(self.x0.shape[0], self.condition is not None)
 
 
 def chunk(values: np.ndarray, n_c: int) -> np.ndarray:
@@ -123,7 +105,7 @@ def unchunk(chunks: np.ndarray, batch_size: int) -> np.ndarray:
 def couple_independent(batch: SignalBatch, rng: np.random.Generator) -> Coupling:
     """Pair each sample with freshly drawn standard Gaussian noise."""
     x1 = rng.standard_normal(batch.values.shape, dtype=np.float32)
-    return Coupling(batch.values, x1, batch.condition, batch.present)
+    return Coupling(batch.values, x1, batch.condition)
 
 
 def couple_chunked_ot(
@@ -157,4 +139,4 @@ def couple_chunked_ot(
     else:
         raise ValidationError(f"unknown coupling method {method!r}")
     matched = unchunk(noise_chunks[sigma], batch.batch_size)
-    return Coupling(batch.values, matched, batch.condition, batch.present)
+    return Coupling(batch.values, matched, batch.condition)

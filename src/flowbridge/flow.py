@@ -68,7 +68,7 @@ def cfm_loss(
     tau = _broadcast_tau(tau, b)
     xt = interpolate(coupling.x0, coupling.x1, tau)
     target = cfm_target(coupling)
-    present = coupling.resolved_present()
+    present = np.full(b, coupling.condition is not None)
     if drop_condition is not None:
         if drop_condition.shape != (b,):
             raise ShapeError(f"drop_condition must be ({b},), got {drop_condition.shape}")

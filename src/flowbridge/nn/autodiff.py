@@ -74,21 +74,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def zero_grad(self):
         self.grad = None
 

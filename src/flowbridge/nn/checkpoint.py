@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import json
 import struct
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from ..exceptions import CheckpointError
+from ..exceptions import CheckpointError, ConfigError
 from .adam import Adam
 from .model import ModelConfig, VectorFieldModel
 
@@ -36,7 +37,7 @@ def save_checkpoint(
     wire = _WIRE[model.config.dtype]
     manifest = [[name, list(p.data.shape)] for name, p in model.params.items()]
     header = {
-        "config": model.config_dict(),
+        "config": asdict(model.config),
         "extra": extra or {},
         "optimizer": None
         if optimizer is None
@@ -81,7 +82,7 @@ def load_checkpoint(path: str | Path) -> tuple[VectorFieldModel, Adam | None, di
 
     try:
         config = ModelConfig(**header["config"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ConfigError) as exc:
         raise CheckpointError(f"{path}: invalid model config ({exc})") from exc
     model = VectorFieldModel(config, np.random.default_rng(0))
     expected = [[name, list(p.data.shape)] for name, p in model.params.items()]

@@ -8,10 +8,11 @@ every residual block through per-block scale-and-shift.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
+from ..config import check_int_fields
 from ..exceptions import ConfigError, ShapeError, ValidationError
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -35,6 +36,10 @@ class ModelConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
+        check_int_fields(
+            self, "signal_length", "hidden", "depth", "cond_dim", "cond_embed", "time_features",
+            "kernel_size",
+        )
         if self.backbone not in ("mlp", "conv"):
             raise ConfigError(f"unknown backbone {self.backbone!r}")
         if self.dtype not in _DTYPES:
@@ -207,8 +212,3 @@ class VectorFieldModel:
         """Plain ndarray forward pass for sampling; records no tape."""
         with ad.no_grad():
             return self.forward(x, tau, condition, present).data
-
-    def config_dict(self) -> dict:
-        return asdict(self.config)
-
-

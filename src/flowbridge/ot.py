@@ -204,26 +204,17 @@ def _round_to_uniform(pi: np.ndarray, m: int) -> np.ndarray:
     return pi
 
 
-def plan_to_pairs(
-    plan: TransportPlan,
-    rng: np.random.Generator,
-    mode: str = "sample",
-) -> np.ndarray:
+def plan_to_pairs(plan: TransportPlan, rng: np.random.Generator) -> np.ndarray:
     """Extract a hard pairing from a soft plan.
 
     For each row i, draw column j from the categorical distribution
-    proportional to pi[i, :] (``mode="sample"``), or take the row argmax
-    (``mode="argmax"``, deterministic, for tests). Columns may repeat, so the
-    result is a pairing, not necessarily a bijection.
+    proportional to pi[i, :]. Columns may repeat, so the result is a
+    pairing, not necessarily a bijection.
     """
-    if mode not in ("sample", "argmax"):
-        raise ValidationError(f"unknown pairing mode {mode!r}")
     pi = plan.pi
     row_sums = pi.sum(axis=1)
     if not np.all(row_sums > 0):
         raise ValidationError("transport plan has a row summing to zero or NaN")
-    if mode == "argmax":
-        return np.argmax(pi, axis=1)
     probs = pi / row_sums[:, None]
     # Inverse-CDF draw per row; vectorized and reproducible under the rng.
     u = rng.random(plan.m)

@@ -71,40 +71,32 @@ SCHEDULES = {"raised_cosine": schedule_raised_cosine, "uniform": schedule_unifor
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded integration path.
+    """Recorded integration path: its endpoints and the field applied per step.
 
-    states[k] is the state at visited time taus[k]; velocities[k] is the
-    field actually applied on the step from taus[k] to taus[k+1] (for the
-    midpoint method that is the midpoint evaluation, not the initial one).
+    taus[k] is the k-th visited time; velocities[k] is the field actually
+    applied on the step from taus[k] to taus[k+1] (for the midpoint method
+    that is the midpoint evaluation, not the initial one). Replaying
+    x += (taus[k+1] - taus[k]) * velocities[k] from start reproduces final.
     """
 
-    states: np.ndarray
+    start: np.ndarray
+    final: np.ndarray
     velocities: np.ndarray
     taus: np.ndarray
-    direction: str
 
     def __post_init__(self):
-        t_plus_1, b, n = self.states.shape
-        if self.velocities.shape != (t_plus_1 - 1, b, n):
+        t, b, n = self.velocities.shape
+        if self.start.shape != (b, n) or self.final.shape != (b, n):
             raise ShapeError(
-                f"velocities {self.velocities.shape} inconsistent with states {self.states.shape}"
+                f"endpoints {self.start.shape}, {self.final.shape} inconsistent with "
+                f"velocities {self.velocities.shape}"
             )
-        if self.taus.shape != (t_plus_1,):
-            raise ShapeError(f"taus {self.taus.shape} inconsistent with {t_plus_1} states")
-        if self.direction not in ("forward", "backward"):
-            raise ValidationError(f"unknown direction {self.direction!r}")
+        if self.taus.shape != (t + 1,):
+            raise ShapeError(f"taus {self.taus.shape} inconsistent with {t} steps")
 
     @property
     def n_steps(self) -> int:
         return self.velocities.shape[0]
-
-    @property
-    def batch_size(self) -> int:
-        return self.states.shape[1]
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.states[-1]
 
 
 def integrate(
@@ -114,7 +106,6 @@ def integrate(
     direction: str = "forward",
     method: str = "euler",
     condition: np.ndarray | None = None,
-    present: np.ndarray | None = None,
     gamma: float = 1.0,
 ) -> Trajectory:
     """Fixed-step integration of dx/dtau = v(x, tau, c) over the schedule.
@@ -143,17 +134,15 @@ def integrate(
         if condition is None:
             return model.velocity(x, tau, None)
         if gamma == 1.0:
-            return model.velocity(x, tau, condition, present)
+            return model.velocity(x, tau, condition)
         v_null = model.velocity(x, tau, None)
         if gamma == 0.0:
             return v_null
-        v_cond = model.velocity(x, tau, condition, present)
+        v_cond = model.velocity(x, tau, condition)
         return cfg_combine(v_cond, v_null, gamma)
 
-    x = np.asarray(start, dtype=dtype)
-    states = np.empty((n_steps + 1,) + x.shape, dtype=dtype)
+    x = start = np.asarray(start, dtype=dtype)
     velocities = np.empty((n_steps,) + x.shape, dtype=dtype)
-    states[0] = x
     for i in range(n_steps):
         tau_cur, tau_next = float(taus[i]), float(taus[i + 1])
         dt = tau_next - tau_cur
@@ -166,9 +155,8 @@ def integrate(
         x = x + dt * v
         if not np.all(np.isfinite(x)):
             raise DivergenceError(step=i, tau=tau_next)
-        states[i + 1] = x
         velocities[i] = v
-    return Trajectory(states, velocities, np.asarray(taus, dtype=np.float64), direction)
+    return Trajectory(start, x, velocities, np.asarray(taus, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -185,7 +173,6 @@ def gfb_transfer(
     schedule: TimeSchedule,
     condition: np.ndarray | None,
     gamma: float = 1.0,
-    present: np.ndarray | None = None,
     method: str = "euler",
 ) -> BridgeResult:
     """Two-stage bridge: unconditional encode to the latent, guided decode back.
@@ -203,7 +190,6 @@ def gfb_transfer(
         direction="backward",
         method=method,
         condition=condition,
-        present=present,
         gamma=gamma,
     )
     return BridgeResult(decode.final, latent, encode, decode)

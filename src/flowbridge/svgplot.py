@@ -1,4 +1,4 @@
-"""Self-contained SVG charts (lines, bands, scatters) with axes and legend.
+"""Self-contained SVG charts (lines and bands) with axes and legend.
 
 No plotting dependency: figures accumulate series, autoscale, and render a
 standalone SVG document string.
@@ -78,9 +78,6 @@ class SvgFigure:
 
     def band(self, xs, lo, hi, color=None, opacity=0.25):
         self._add("band", xs, lo, y2=hi, color=color or PALETTE[0], opacity=opacity)
-
-    def scatter(self, xs, ys, color=None, label=None, opacity=0.8):
-        self._add("scatter", xs, ys, color=color, label=label, opacity=opacity)
 
     def _limits(self):
         xs = np.concatenate([s.xs for s in self._series])
@@ -170,18 +167,12 @@ class SvgFigure:
                     f'<polygon points="{" ".join(fwd + rev)}" fill="{s.color}" '
                     f'opacity="{s.opacity:g}" stroke="none"/>'
                 )
-            elif s.kind == "line":
+            else:
                 pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(s.xs, s.ys))
                 parts.append(
                     f'<polyline points="{pts}" fill="none" stroke="{s.color}" '
                     f'stroke-width="1.8" opacity="{s.opacity:g}"/>'
                 )
-            else:
-                for x, y in zip(s.xs, s.ys):
-                    parts.append(
-                        f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="2.4" '
-                        f'fill="{s.color}" opacity="{s.opacity:g}"/>'
-                    )
 
         labeled = [s for s in self._series if s.label]
         if labeled:

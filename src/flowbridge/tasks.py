@@ -15,6 +15,7 @@ from typing import Iterator
 import numpy as np
 
 from .analysis import SDR_CAP_DB, sdr
+from .config import check_int_fields
 from .coupling import SignalBatch
 from .exceptions import ConfigError, ValidationError
 
@@ -53,6 +54,7 @@ class TaskSpec:
     seed_noise: float = 0.05
 
     def __post_init__(self):
+        check_int_fields(self, "n")
         if self.family not in PLANAR_FAMILIES + ("toy_signal",):
             raise ConfigError(f"unknown task family {self.family!r}")
         if self.family in PLANAR_FAMILIES and self.n != 2:
@@ -205,22 +207,18 @@ def clip_to_sdr(x: np.ndarray, target_db: float, tol: float = 0.1) -> ClipResult
     if not 0.0 < target_db < SDR_CAP_DB:
         return ClipResult(x.copy(), peak, SDR_CAP_DB, False)
     lo, hi = 0.0, peak
-    best = None
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
         clipped = clip_signal(x, mid)
         got = sdr(x, clipped)
-        best = (clipped, mid, got)
         if abs(got - target_db) <= tol:
             return ClipResult(clipped, mid, got, True)
         if got < target_db:
             lo = mid
         else:
             hi = mid
-    if best is not None and abs(best[2] - target_db) <= tol:
-        return ClipResult(best[0], best[1], best[2], True)
     return ClipResult(x.copy(), peak, SDR_CAP_DB, False)
 
 

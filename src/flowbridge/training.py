@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import check_int_fields
 from .coupling import couple_chunked_ot, couple_independent
 from .exceptions import ConfigError, TrainingDivergedError
 from .flow import cfm_loss
@@ -37,8 +38,13 @@ class TrainConfig:
     log_every: int = 100
 
     def __post_init__(self):
+        check_int_fields(self, "iterations", "batch_size", "seed", "log_every")
+        if self.chunk_size is not None:
+            check_int_fields(self, "chunk_size")
         if self.iterations < 1:
             raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.coupling not in ("independent", "chunked_ot"):
             raise ConfigError(f"unknown coupling {self.coupling!r}")
         if self.coupling == "chunked_ot" and self.chunk_size is None:
@@ -72,7 +78,6 @@ def train(
     model_config: ModelConfig,
     task: TaskSpec,
     config: TrainConfig,
-    model: VectorFieldModel | None = None,
 ) -> TrainResult:
     """Train a model on a task; returns the model, optimizer, and loss history.
 
@@ -93,8 +98,7 @@ def train(
     init_rng, data_rng, couple_rng, tau_rng, drop_rng = (
         np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(5)
     )
-    if model is None:
-        model = VectorFieldModel(model_config, init_rng)
+    model = VectorFieldModel(model_config, init_rng)
     optimizer = Adam(model.parameters(), lr=config.lr)
     stream = make_training_stream(task, config.batch_size, data_rng)
     history: list[tuple[int, float]] = []

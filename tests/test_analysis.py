@@ -22,9 +22,8 @@ def _straight_trajectory(rng, t=6, b=3, n=4, direction="forward"):
         taus = taus[::-1].copy()
     x0 = rng.standard_normal((b, n))
     u = rng.standard_normal((b, n))
-    states = x0[None] + taus[:, None, None] * u[None]
     velocities = np.broadcast_to(u, (t, b, n)).copy()
-    return Trajectory(states, velocities, taus, direction)
+    return Trajectory(x0 + taus[0] * u, x0 + taus[-1] * u, velocities, taus)
 
 
 def _manual_curvature(traj):
@@ -34,7 +33,7 @@ def _manual_curvature(traj):
     out = np.zeros((t, b))
     for k in range(t):
         for j in range(b):
-            dev = (traj.states[-1, j] - traj.states[0, j]) - span * traj.velocities[k, j]
+            dev = (traj.final[j] - traj.start[j]) - span * traj.velocities[k, j]
             out[k, j] = np.sqrt(np.sum(dev**2)) / np.sqrt(n)
     return out
 
@@ -53,20 +52,15 @@ class TestCurvature:
     def test_forward_backward_same_straight_line_agree(self):
         rng = np.random.default_rng(5)
         fwd = _straight_trajectory(rng, t=5, b=2, n=3)
-        bwd = Trajectory(
-            fwd.states[::-1].copy(),
-            fwd.velocities[::-1].copy(),
-            fwd.taus[::-1].copy(),
-            "backward",
-        )
+        bwd = Trajectory(fwd.final, fwd.start, fwd.velocities[::-1].copy(), fwd.taus[::-1].copy())
         assert np.allclose(curvature(bwd), curvature(fwd)[::-1], atol=1e-12)
 
     def test_matches_loop_reference(self):
         rng = np.random.default_rng(1)
         taus = np.linspace(0.0, 1.0, 6)
-        states = rng.standard_normal((6, 4, 3))
+        start, final = rng.standard_normal((2, 4, 3))
         velocities = rng.standard_normal((5, 4, 3))
-        traj = Trajectory(states, velocities, taus, "forward")
+        traj = Trajectory(start, final, velocities, taus)
         assert np.allclose(curvature(traj), _manual_curvature(traj), atol=1e-12)
 
     def test_dimension_normalization(self):
@@ -74,22 +68,21 @@ class TestCurvature:
         # deviation unchanged, so the score must not move.
         rng = np.random.default_rng(2)
         taus = np.linspace(0.0, 1.0, 4)
-        states = rng.standard_normal((4, 2, 3))
+        start, final = rng.standard_normal((2, 2, 3))
         velocities = rng.standard_normal((3, 2, 3))
-        narrow = Trajectory(states, velocities, taus, "forward")
+        narrow = Trajectory(start, final, velocities, taus)
         wide = Trajectory(
-            np.concatenate([states, states], axis=2),
+            np.concatenate([start, start], axis=1),
+            np.concatenate([final, final], axis=1),
             np.concatenate([velocities, velocities], axis=2),
             taus,
-            "forward",
         )
         assert np.allclose(curvature(narrow), curvature(wide), atol=1e-12)
 
     def test_known_single_step_value(self):
         # One sample, one dimension: chord 2, velocity 5 -> deviation 3.
-        states = np.array([[[0.0]], [[2.0]]])
         velocities = np.array([[[5.0]]])
-        traj = Trajectory(states, velocities, np.array([0.0, 1.0]), "forward")
+        traj = Trajectory(np.array([[0.0]]), np.array([[2.0]]), velocities, np.array([0.0, 1.0]))
         assert np.allclose(curvature(traj), [[3.0]])
 
 

@@ -86,6 +86,37 @@ def test_train_unknown_task_key(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "override",
+    [
+        "train.iterations=2.5",
+        "train.iterations=true",
+        "model.hidden=8.5",
+        "train.batch_size=8.0",
+        "train.chunk_size=1.0",
+        "train.seed=1.5",
+        "train.log_every=1.5",
+        "task.n=2.0",
+        "seed=1.5",
+        'seed="abc"',
+    ],
+)
+def test_train_rejects_non_integer_field(tmp_path, capsys, override):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "task": {"family": "two_moons"},
+        "model": {"hidden": 8, "depth": 2},
+        "train": {"iterations": 2, "batch_size": 4, "coupling": "chunked_ot", "chunk_size": 2},
+    }))
+    out = tmp_path / "r"
+    rc = main(["train", "--config", str(cfg_path), "--out", str(out), "--set", override])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"{override.split('=')[0].split('.')[-1]} must be an integer" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "override", ["train.sinkhorn_epsilon=NaN", "train.lr=Infinity", "model.max_time_freq=Infinity"]
 )
 def test_train_rejects_non_finite_hyperparameter(tmp_path, capsys, override):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowbridge import ot
 from flowbridge.coupling import (
@@ -37,20 +39,6 @@ class TestSignalBatch:
             SignalBatch(
                 np.zeros((2, 4), dtype=np.float32),
                 np.zeros((3, 1), dtype=np.float32),
-            )
-
-    def test_present_defaults(self):
-        rng = np.random.default_rng(0)
-        plain = SignalBatch(np.zeros((3, 4), dtype=np.float32))
-        assert not couple_independent(plain, rng).resolved_present().any()
-        conditioned = _batch(rng, k=2)
-        assert couple_independent(conditioned, rng).resolved_present().all()
-
-    def test_present_without_condition_rejected(self):
-        with pytest.raises(ValidationError):
-            SignalBatch(
-                np.zeros((2, 4), dtype=np.float32),
-                present=np.array([True, False]),
             )
 
 
@@ -103,7 +91,6 @@ class TestCoupleIndependent:
         batch = _batch(rng, k=3)
         cpl = couple_independent(batch, rng)
         assert cpl.condition is batch.condition
-        assert cpl.resolved_present().all()
 
     def test_seed_reproducibility(self):
         batch = _batch(np.random.default_rng(14))
@@ -180,3 +167,50 @@ class TestCoupling:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             Coupling(np.zeros((2, 4)), np.zeros((2, 5)))
+
+
+# Batch size B, chunk size n_c, chunks per row (so n_c divides N), and a seed.
+_shapes = st.tuples(
+    st.integers(1, 6), st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**16)
+)
+
+
+def _drawn(shape):
+    """Batch, chunk size and seed for one hypothesis example."""
+    b, n_c, per_row, seed = shape
+    values = np.random.default_rng(seed).standard_normal((b, n_c * per_row)).astype(np.float32)
+    return SignalBatch(values), n_c, seed
+
+
+def _chunk_rows(values, n_c):
+    return sorted(map(tuple, chunk(values, n_c)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(shape=_shapes)
+def test_unchunk_inverts_chunk_property(shape):
+    batch, n_c, _ = _drawn(shape)
+    assert np.array_equal(unchunk(chunk(batch.values, n_c), batch.batch_size), batch.values)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(shape=_shapes)
+def test_exact_coupling_permutes_the_drawn_chunks_at_no_higher_cost(shape):
+    batch, n_c, seed = _drawn(shape)
+    indep = couple_independent(batch, np.random.default_rng(seed + 1))
+    coupled = couple_chunked_ot(batch, np.random.default_rng(seed + 1), n_c=n_c)
+    assert _chunk_rows(coupled.x1, n_c) == _chunk_rows(indep.x1, n_c)
+    cost_i = float(np.sum((indep.x0.astype(np.float64) - indep.x1) ** 2))
+    cost_c = float(np.sum((coupled.x0.astype(np.float64) - coupled.x1) ** 2))
+    assert cost_c <= cost_i + 1e-9 * (1.0 + cost_i)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(shape=_shapes, epsilon=st.sampled_from([0.05, 0.5, 5.0]))
+def test_sinkhorn_coupling_matches_only_drawn_chunks(shape, epsilon):
+    batch, n_c, seed = _drawn(shape)
+    drawn = couple_independent(batch, np.random.default_rng(seed + 1)).x1
+    coupled = couple_chunked_ot(
+        batch, np.random.default_rng(seed + 1), n_c=n_c, method="sinkhorn", epsilon=epsilon
+    )
+    assert set(_chunk_rows(coupled.x1, n_c)) <= set(_chunk_rows(drawn, n_c))

@@ -138,6 +138,21 @@ class TestCfmLoss:
         want = np.mean((v_drop - u) ** 2, axis=1)
         assert np.allclose(report_drop.per_sample, want, atol=1e-12)
 
+    def test_presence_defaults_to_the_condition(self):
+        # Without dropout every row of a conditioned coupling is present and
+        # every row of an unconditioned one trains through the null branch.
+        rng = np.random.default_rng(11)
+        model = _model(cond_dim=2, seed=3)
+        for p in model.parameters():
+            p.data = p.data + 0.1 * rng.standard_normal(p.data.shape)
+        tau = np.array([0.2, 0.7])
+        for cond_dim in (2, 0):
+            c = _coupling(rng, b=2, cond_dim=cond_dim)
+            v = model.velocity(interpolate(c.x0, c.x1, tau), tau, c.condition)
+            want = np.mean((v - cfm_target(c).astype(np.float64)) ** 2, axis=1)
+            report = cfm_loss(model, c, tau, backward=False)
+            assert np.array_equal(report.per_sample, want)
+
     def test_drop_mask_shape_checked(self):
         rng = np.random.default_rng(10)
         c = _coupling(rng, cond_dim=2)

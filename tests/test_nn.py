@@ -385,6 +385,14 @@ class TestVectorFieldModel:
             {"max_time_freq": -50.0},
             {"max_time_freq": float("nan")},
             {"max_time_freq": float("inf")},
+            {"hidden": 8.5},
+            {"hidden": 4.0},
+            {"depth": True},
+            {"signal_length": 8.0},
+            {"cond_dim": "1"},
+            {"cond_embed": None},
+            {"time_features": 2.0},
+            {"kernel_size": 5.0},
         ]
         for kwargs in bad:
             with pytest.raises(ConfigError):
@@ -627,8 +635,12 @@ class TestCheckpoint:
             ("params", lambda m: [[]] + m[1:]),
             ("params", lambda m: [m[0] + ["x"]] + m[1:]),
             ("extra", lambda e: ["task"]),
+            ("config", lambda c: {**c, "hidden": 4.0}),
+            ("config", lambda c: {**c, "hidden": 0}),
+            ("config", lambda c: {**c, "kernel_size": 5.0}),
         ],
-        ids=["params_int", "params_null", "shape_int", "empty_entry", "long_entry", "extra_list"],
+        ids=["params_int", "params_null", "shape_int", "empty_entry", "long_entry", "extra_list",
+             "hidden_float", "hidden_zero", "kernel_float"],
     )
     def test_rejects_bad_manifest_or_extra(self, tmp_path, key, edit):
         path = _saved_with_header(tmp_path, key, edit)

@@ -279,13 +279,15 @@ def test_exact_is_a_bijection_no_costlier_than_independent(points):
 
 
 class TestPlanToPairs:
-    def test_argmax_recovers_sharp_plan(self):
+    def test_sampling_recovers_sharp_plan(self):
+        # A permutation plan leaves each row one column to draw.
         perm = np.array([2, 0, 3, 1])
         pi = np.zeros((4, 4))
         pi[np.arange(4), perm] = 0.25
         plan = TransportPlan(pi, epsilon=0.01)
-        got = plan_to_pairs(plan, np.random.default_rng(0), mode="argmax")
-        assert np.array_equal(got, perm)
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            assert np.array_equal(plan_to_pairs(plan, rng), perm)
 
     def test_sampling_follows_row_distribution(self):
         pi = np.array([[0.9, 0.1], [0.5, 0.5]]) / 2.0
@@ -315,11 +317,6 @@ class TestPlanToPairs:
         plan = TransportPlan(pi, epsilon=0.1)
         with pytest.raises(ValidationError):
             plan_to_pairs(plan, np.random.default_rng(0))
-
-    def test_rejects_unknown_mode(self):
-        plan = TransportPlan(np.full((2, 2), 0.25), epsilon=0.1)
-        with pytest.raises(ValidationError):
-            plan_to_pairs(plan, np.random.default_rng(0), mode="greedy")
 
 
 class TestTransportCost:

@@ -28,7 +28,7 @@ class _FieldStub:
         self.calls_cond = 0
         self.calls_null = 0
 
-    def velocity(self, x, tau, condition=None, present=None):
+    def velocity(self, x, tau, condition=None):
         if condition is None:
             self.calls_null += 1
         else:
@@ -133,25 +133,26 @@ class TestIntegrate:
         assert 1.7 < r_euler < 2.3
         assert 3.4 < r_mid < 4.6
 
-    def test_recorded_velocity_reconstructs_states(self):
-        # states[k+1] = states[k] + dt * velocities[k] must hold exactly for
-        # both methods, because the recorded field is the one applied.
+    def test_recorded_velocities_replay_to_final(self):
+        # Replaying x += dt * velocities[k] from start must land on final
+        # exactly for both methods, because the recorded field is the one
+        # applied.
         model = _decay_field(-0.7)
         rng = np.random.default_rng(0)
         x0 = rng.standard_normal((3, 5))
         for method in ("euler", "midpoint"):
             traj = integrate(model, x0, schedule_uniform(8), method=method)
+            assert np.array_equal(traj.start, x0)
+            x = traj.start
             for k in range(traj.n_steps):
-                dt = traj.taus[k + 1] - traj.taus[k]
-                want = traj.states[k] + dt * traj.velocities[k]
-                assert np.array_equal(traj.states[k + 1], want)
+                x = x + (traj.taus[k + 1] - traj.taus[k]) * traj.velocities[k]
+            assert np.array_equal(x, traj.final)
 
     def test_backward_visits_reversed_times(self):
         model = _decay_field(-1.0)
         s = schedule_raised_cosine(6)
         traj = integrate(model, np.ones((1, 2)), s, direction="backward")
         assert np.array_equal(traj.taus, s.taus[::-1])
-        assert traj.direction == "backward"
 
     def test_backward_inverts_forward_in_small_step_limit(self):
         model = _decay_field(-1.0)
@@ -215,25 +216,27 @@ class TestIntegrate:
         x0 = rng.standard_normal((2, 6)).astype(np.float32)
         a = integrate(model, x0, schedule_raised_cosine(10))
         b = integrate(model, x0, schedule_raised_cosine(10))
-        assert np.array_equal(a.states, b.states)
+        assert np.array_equal(a.velocities, b.velocities)
+        assert np.array_equal(a.final, b.final)
 
 
 class TestTrajectory:
     def test_shape_consistency_enforced(self):
-        with pytest.raises(ShapeError):
-            Trajectory(
-                states=np.zeros((5, 2, 3)),
-                velocities=np.zeros((3, 2, 3)),
-                taus=np.linspace(0, 1, 5),
-                direction="forward",
-            )
-        with pytest.raises(ValidationError):
-            Trajectory(
-                states=np.zeros((5, 2, 3)),
-                velocities=np.zeros((4, 2, 3)),
-                taus=np.linspace(0, 1, 5),
-                direction="diagonal",
-            )
+        ok = dict(
+            start=np.zeros((2, 3)),
+            final=np.zeros((2, 3)),
+            velocities=np.zeros((4, 2, 3)),
+            taus=np.linspace(0, 1, 5),
+        )
+        Trajectory(**ok)
+        for key, bad in [
+            ("velocities", np.zeros((3, 2, 3))),
+            ("start", np.zeros((3, 3))),
+            ("final", np.zeros((2, 4))),
+            ("taus", np.linspace(0, 1, 4)),
+        ]:
+            with pytest.raises(ShapeError):
+                Trajectory(**{**ok, key: bad})
 
 
 class TestBridge:
@@ -253,7 +256,7 @@ class TestBridge:
         result = gfb_transfer(stub, np.ones((1, 2)), schedule_uniform(3), cond, gamma=1.0)
         # 3 null calls from encode, 3 conditional calls from decode.
         assert (stub.calls_null, stub.calls_cond) == (3, 3)
-        assert np.array_equal(result.decode.states[0], result.latent)
+        assert np.array_equal(result.decode.start, result.latent)
         assert np.array_equal(result.encode.final, result.latent)
 
     def test_latent_independent_of_condition(self):

@@ -40,6 +40,11 @@ class TestTaskSpec:
             TaskSpec("cond_ring", clean_mix_prob=0.1)
         TaskSpec("toy_signal", n=2048, degradation="reverb", clean_mix_prob=0.1)
 
+    @pytest.mark.parametrize("n", [2.0, 16.5, True, "2"])
+    def test_length_must_be_an_integer(self, n):
+        with pytest.raises(ConfigError, match="n must be an integer"):
+            TaskSpec("two_moons", n=n)
+
     def test_unknown_family(self):
         with pytest.raises(ConfigError):
             TaskSpec("spiral")
@@ -211,7 +216,6 @@ class TestTrainingStream:
         stream = make_training_stream(spec, 8, np.random.default_rng(15))
         batch = next(stream)
         assert batch.condition.shape == (8, 1)
-        assert batch.present is None
 
     def test_reverb_stream_descriptors(self):
         spec = TaskSpec("toy_signal", n=512, fs=8000.0, degradation="reverb")

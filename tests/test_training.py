@@ -31,10 +31,17 @@ class TestTrainConfig:
     def test_bad_values(self):
         with pytest.raises(ConfigError):
             TrainConfig(iterations=0)
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            TrainConfig(iterations=5, seed=-1)
         with pytest.raises(ConfigError):
             TrainConfig(iterations=5, cond_dropout=1.5)
         with pytest.raises(ConfigError):
             TrainConfig(iterations=5, coupling="sorted")
+        for field in ("iterations", "batch_size", "chunk_size", "seed", "log_every"):
+            for bad in (2.0, 2.5, True, "2"):
+                with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+                    TrainConfig(**{"iterations": 5, "coupling": "chunked_ot", "chunk_size": 2,
+                                   field: bad})
         for bad in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ConfigError):
                 TrainConfig(iterations=5, lr=bad)
