@@ -10,31 +10,17 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import curvature_profile, empirical_w2, sdr
-from .config import apply_overrides, dump_config, load_config
-from .exceptions import (
-    CheckpointError,
-    ConfigError,
-    CsvFormatError,
-    DivergenceError,
-    TrainingDivergedError,
-    ValidationError,
-)
+from .config import apply_overrides, build_config, check_int_fields, dump_config, load_config
+from .exceptions import CheckpointError, ConfigError, FlowbridgeError, ValidationError
 from .nn.checkpoint import load_checkpoint, save_checkpoint
 from .nn.model import ModelConfig
 from .sampler import SCHEDULES, gfb_transfer, integrate
 from .signalio import load_signals, read_csv, save_signals, write_csv
-from .svgplot import PALETTE, SvgFigure
+from .svgplot import SvgFigure
 from .tasks import TaskSpec, make_training_stream
 from .training import TrainConfig, train
 
 __all__ = ["main"]
-
-
-def _section(cfg: dict, name: str) -> dict:
-    value = cfg.get(name, {})
-    if not isinstance(value, dict):
-        raise ConfigError(f"config section {name!r} must be an object")
-    return dict(value)
 
 
 def _cmd_train(args) -> int:
@@ -43,25 +29,14 @@ def _cmd_train(args) -> int:
     if args.seed is not None:
         cfg["seed"] = args.seed
 
-    task_raw = _section(cfg, "task")
-    try:
-        task = TaskSpec(**task_raw)
-    except TypeError as exc:
-        raise ConfigError(f"task section: {exc}") from exc
-    model_raw = _section(cfg, "model")
-    for key in ("signal_length", "cond_dim"):
-        if key in model_raw:
-            raise ConfigError(f"model.{key} is derived from the task; remove it")
-    try:
-        model_cfg = ModelConfig(signal_length=task.n, cond_dim=task.cond_dim, **model_raw)
-    except TypeError as exc:
-        raise ConfigError(f"model section: {exc}") from exc
-    train_raw = _section(cfg, "train")
-    train_raw.setdefault("seed", cfg.get("seed", 0))
-    try:
-        train_cfg = TrainConfig(**train_raw)
-    except TypeError as exc:
-        raise ConfigError(f"train section: {exc}") from exc
+    task = build_config(TaskSpec, cfg.get("task", {}), "task")
+    model_cfg = build_config(
+        ModelConfig, cfg.get("model", {}), "model", signal_length=task.n, cond_dim=task.cond_dim
+    )
+    train_raw = cfg.get("train", {})
+    if isinstance(train_raw, dict):
+        train_raw = {"seed": cfg.get("seed", 0), **train_raw}
+    train_cfg = build_config(TrainConfig, train_raw, "train")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -85,7 +60,7 @@ def _cmd_curvature(args) -> int:
     rows = []
     fig = SvgFigure(title="trajectory curvature", xlabel="flow time", ylabel="curvature")
     schedule = SCHEDULES[args.schedule](args.steps)
-    for i, ckpt_path in enumerate(args.checkpoint):
+    for ckpt_path in args.checkpoint:
         model, _, extra = load_checkpoint(ckpt_path)
         label = Path(ckpt_path).stem if len(args.checkpoint) == 1 else Path(ckpt_path).parent.name
         rng = np.random.default_rng(args.seed)
@@ -96,9 +71,8 @@ def _cmd_curvature(args) -> int:
         prof = curvature_profile([traj])
         for tau, mean, p25, p75 in zip(prof.taus, prof.mean, prof.p25, prof.p75):
             rows.append((label, tau, mean, p25, p75))
-        color = PALETTE[i % len(PALETTE)]
-        fig.band(prof.taus, prof.p25, prof.p75, color=color)
-        fig.line(prof.taus, prof.mean, color=color, label=label)
+        fig.band(prof.taus, prof.p25, prof.p75)
+        fig.line(prof.taus, prof.mean, label=label)
         print(f"{label}: time-averaged mean curvature {prof.time_average:.6g}")
     write_csv(out / "curvature.csv", ["model", "tau", "mean", "p25", "p75"], rows)
     fig.save(out / "curvature.svg")
@@ -129,9 +103,7 @@ def _parse_condition(text: str | None, batch: int, cond_dim: int):
         return None
     values = np.array(_parse_floats("--condition", text), dtype=np.float32)
     if values.shape[0] != cond_dim:
-        raise ConfigError(
-            f"condition has {values.shape[0]} values, model expects {cond_dim}"
-        )
+        raise ConfigError(f"condition has {values.shape[0]} values, model expects {cond_dim}")
     return np.tile(values[None, :], (batch, 1))
 
 
@@ -197,11 +169,11 @@ def _cmd_eval(args) -> int:
     for ckpt_path in args.checkpoint:
         model, _, extra = load_checkpoint(ckpt_path)
         task_raw, train_raw = extra.get("task"), extra.get("train", {})
-        if not isinstance(task_raw, dict) or not isinstance(train_raw, dict):
-            raise CheckpointError(f"{ckpt_path}: checkpoint task and train metadata must be objects")
+        if not isinstance(train_raw, dict):
+            raise CheckpointError(f"{ckpt_path}: checkpoint train metadata must be an object")
         try:
-            task = TaskSpec(**task_raw)
-        except (TypeError, ConfigError) as exc:
+            task = build_config(TaskSpec, task_raw, "task")
+        except ConfigError as exc:
             raise CheckpointError(f"{ckpt_path}: invalid task metadata ({exc})") from exc
         chunk = train_raw.get("chunk_size")
         coupling = train_raw.get("coupling", "")
@@ -231,7 +203,6 @@ def _cmd_plot(args) -> int:
         groups = sorted({r[gi] for r in rows})
     else:
         gi, groups = None, [None]
-    color_idx = 0
     for group in groups:
         sel = rows if gi is None else [r for r in rows if r[gi] == group]
         xs = [float(r[xi]) for r in sel]
@@ -239,8 +210,7 @@ def _cmd_plot(args) -> int:
             yi = header.index(col)
             ys = [float(r[yi]) for r in sel]
             label = col if group is None else f"{group}:{col}" if len(args.y) > 1 else group
-            fig.line(xs, ys, color=PALETTE[color_idx % len(PALETTE)], label=label)
-            color_idx += 1
+            fig.line(xs, ys, label=label)
     fig.save(args.out)
     print(f"wrote {args.out}")
     return 0
@@ -306,9 +276,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag, low in (("samples", 1), ("seed", 0)):
+            if getattr(args, flag, None) is not None:
+                check_int_fields(args, flag, low=low)
         return args.fn(args)
-    except (TrainingDivergedError, DivergenceError, ConfigError, ValidationError,
-            CheckpointError, CsvFormatError, OSError) as exc:
+    except (FlowbridgeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

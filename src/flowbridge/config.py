@@ -3,20 +3,45 @@
 from __future__ import annotations
 
 import json
-from numbers import Integral
+import math
+from numbers import Integral, Real
 from pathlib import Path
 
 from .exceptions import ConfigError
 
-__all__ = ["load_config", "dump_config", "apply_overrides", "check_int_fields"]
+__all__ = ["load_config", "dump_config", "apply_overrides", "check_int_fields",
+           "check_real_fields", "build_config"]
 
 
-def check_int_fields(obj, *names: str) -> None:
-    """Raise ConfigError unless each named field of obj is an integer (a bool is not)."""
+def check_int_fields(obj, *names: str, low: int | None = None) -> None:
+    """Raise ConfigError unless each named field of obj is an integer (a bool is not) >= low."""
     for name in names:
         value = getattr(obj, name)
         if isinstance(value, bool) or not isinstance(value, Integral):
             raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if low is not None and value < low:
+            raise ConfigError(f"{name} must be >= {low}, got {value}")
+
+
+def check_real_fields(obj, *names: str, positive: bool = False, unit: bool = False) -> None:
+    """Raise ConfigError unless each named field of obj is a finite real (a bool is not),
+    also > 0 when positive and in [0, 1] when unit."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+            raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        if (positive and value <= 0) or (unit and not 0 <= value <= 1):
+            raise ConfigError(f"{name} must be {'> 0' if positive else 'in [0, 1]'}, got {value}")
+
+
+def build_config(cls, raw, section: str, **derived):
+    """cls(**raw, **derived), with ConfigError for a non-object section or a bad or derived key."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config section {section!r} must be an object")
+    try:
+        return cls(**raw, **derived)
+    except TypeError as exc:
+        raise ConfigError(f"{section} section: {exc}") from exc
 
 
 def load_config(path: str | Path) -> dict:

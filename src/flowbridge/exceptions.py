@@ -1,7 +1,11 @@
 """Exception types shared across the package."""
 
 
-class ValidationError(ValueError):
+class FlowbridgeError(Exception):
+    """Base of every error the package raises on purpose; the CLI reports it on one line."""
+
+
+class ValidationError(FlowbridgeError, ValueError):
     """Input violates a documented precondition."""
 
 
@@ -13,7 +17,7 @@ class ConfigError(ValidationError):
     """Experiment configuration is malformed or out of range."""
 
 
-class DivergenceError(RuntimeError):
+class DivergenceError(FlowbridgeError, RuntimeError):
     """ODE integration produced a non-finite state."""
 
     def __init__(self, step: int, tau: float):
@@ -22,7 +26,7 @@ class DivergenceError(RuntimeError):
         super().__init__(f"non-finite state at integration step {step} (tau={tau:.6g})")
 
 
-class TrainingDivergedError(RuntimeError):
+class TrainingDivergedError(FlowbridgeError, RuntimeError):
     """The training loss went non-finite."""
 
     def __init__(self, iteration: int, loss: float):
@@ -31,11 +35,11 @@ class TrainingDivergedError(RuntimeError):
         super().__init__(f"non-finite loss ({loss}) at training iteration {iteration}")
 
 
-class CheckpointError(RuntimeError):
+class CheckpointError(FlowbridgeError, RuntimeError):
     """Checkpoint file is corrupt, truncated, or has an unknown version."""
 
 
-class CsvFormatError(ValueError):
+class CsvFormatError(FlowbridgeError, ValueError):
     """CSV input could not be parsed."""
 
     def __init__(self, line: int, message: str):

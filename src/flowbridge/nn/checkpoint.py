@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..config import build_config
 from ..exceptions import CheckpointError, ConfigError
 from .adam import Adam
 from .model import ModelConfig, VectorFieldModel
@@ -78,11 +79,13 @@ def load_checkpoint(path: str | Path) -> tuple[VectorFieldModel, Adam | None, di
         header = json.loads(raw[offset : offset + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt header ({exc})") from exc
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header must be an object")
     offset += header_len
 
     try:
-        config = ModelConfig(**header["config"])
-    except (KeyError, TypeError, ConfigError) as exc:
+        config = build_config(ModelConfig, header.get("config"), "config")
+    except ConfigError as exc:
         raise CheckpointError(f"{path}: invalid model config ({exc})") from exc
     model = VectorFieldModel(config, np.random.default_rng(0))
     expected = [[name, list(p.data.shape)] for name, p in model.params.items()]

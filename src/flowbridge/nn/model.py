@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import check_int_fields
+from ..config import check_int_fields, check_real_fields
 from ..exceptions import ConfigError, ShapeError, ValidationError
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -36,22 +36,15 @@ class ModelConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
-        check_int_fields(
-            self, "signal_length", "hidden", "depth", "cond_dim", "cond_embed", "time_features",
-            "kernel_size",
-        )
+        check_int_fields(self, "signal_length", "hidden", "depth", "kernel_size", low=1)
+        check_int_fields(self, "cond_dim", "cond_embed", "time_features", low=0)
+        check_real_fields(self, "max_time_freq", positive=True)
         if self.backbone not in ("mlp", "conv"):
             raise ConfigError(f"unknown backbone {self.backbone!r}")
         if self.dtype not in _DTYPES:
             raise ConfigError(f"unknown dtype {self.dtype!r}")
-        if self.signal_length < 1 or self.hidden < 1 or self.depth < 1:
-            raise ConfigError("signal_length, hidden and depth must be positive")
-        if self.cond_dim < 0 or self.cond_embed < 0 or self.time_features < 0:
-            raise ConfigError("cond_dim, cond_embed and time_features must be >= 0")
-        if self.kernel_size < 1 or self.kernel_size % 2 != 1:
-            raise ConfigError(f"kernel_size must be positive and odd, got {self.kernel_size}")
-        if not (np.isfinite(self.max_time_freq) and self.max_time_freq > 0):
-            raise ConfigError(f"max_time_freq must be finite and positive, got {self.max_time_freq}")
+        if self.kernel_size % 2 != 1:
+            raise ConfigError(f"kernel_size must be odd, got {self.kernel_size}")
 
     @property
     def np_dtype(self):

@@ -77,7 +77,7 @@ class SvgFigure:
         self._add("line", xs, ys, color=color, label=label)
 
     def band(self, xs, lo, hi, color=None, opacity=0.25):
-        self._add("band", xs, lo, y2=hi, color=color or PALETTE[0], opacity=opacity)
+        self._add("band", xs, lo, y2=hi, color=color, opacity=opacity)
 
     def _limits(self):
         xs = np.concatenate([s.xs for s in self._series])

@@ -9,13 +9,14 @@ an optional fraction of clean samples carrying boundary-value descriptors.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .analysis import SDR_CAP_DB, sdr
-from .config import check_int_fields
+from .config import check_int_fields, check_real_fields
 from .coupling import SignalBatch
 from .exceptions import ConfigError, ValidationError
 
@@ -32,9 +33,12 @@ __all__ = [
     "clip_signal",
     "ClipResult",
     "clip_to_sdr",
+    "degrade",
     "make_training_stream",
+    "DEGRADATIONS",
     "CLEAN_T60",
     "EARLY_WINDOW_S",
+    "MIN_TONE_HZ",
 ]
 
 PLANAR_FAMILIES = ("two_moons", "checkerboard", "eight_gaussians", "cond_ring")
@@ -42,6 +46,20 @@ PLANAR_FAMILIES = ("two_moons", "checkerboard", "eight_gaussians", "cond_ring")
 # time and the capped early/late ratio of a bare impulse.
 CLEAN_T60 = 0.01
 EARLY_WINDOW_S = 0.05
+# Lowest toy-signal tone; the highest is fs/4.
+MIN_TONE_HZ = 60.0
+
+
+class Degradation(NamedTuple):
+    descriptors: tuple[str, ...]
+    target_range: tuple[float, float]  # a training target is drawn uniformly from it
+    clean: tuple[float, ...]  # the descriptors of an undegraded sample
+
+
+DEGRADATIONS = {
+    "reverb": Degradation(("t60", "c50"), (0.1, 1.0), (CLEAN_T60, SDR_CAP_DB)),
+    "clip": Degradation(("sdr",), (1.0, 40.0), (SDR_CAP_DB,)),
+}
 
 
 @dataclass(frozen=True)
@@ -55,31 +73,30 @@ class TaskSpec:
 
     def __post_init__(self):
         check_int_fields(self, "n")
+        check_real_fields(self, "fs", "seed_noise")
+        check_real_fields(self, "clean_mix_prob", unit=True)
         if self.family not in PLANAR_FAMILIES + ("toy_signal",):
             raise ConfigError(f"unknown task family {self.family!r}")
         if self.family in PLANAR_FAMILIES and self.n != 2:
             raise ConfigError(f"{self.family} is planar; n must be 2, got {self.n}")
+        if self.fs < 4 * MIN_TONE_HZ:
+            raise ConfigError(f"fs must be >= 4 x {MIN_TONE_HZ:g} Hz, got {self.fs}")
         if self.family == "toy_signal":
-            if self.degradation not in ("reverb", "clip"):
-                raise ConfigError(
-                    f"toy_signal needs degradation 'reverb' or 'clip', got {self.degradation!r}"
-                )
+            if self.degradation not in DEGRADATIONS:
+                names = " or ".join(map(repr, DEGRADATIONS))
+                raise ConfigError(f"toy_signal needs degradation {names}, got {self.degradation!r}")
             if self.n < 16:
                 raise ConfigError(f"toy_signal length too short: {self.n}")
         elif self.degradation is not None:
             raise ConfigError(f"{self.family} does not take a degradation")
-        if not 0.0 <= self.clean_mix_prob <= 1.0:
-            raise ConfigError(f"clean_mix_prob must be in [0, 1], got {self.clean_mix_prob}")
         if self.clean_mix_prob > 0 and self.family != "toy_signal":
             raise ConfigError("clean_mix_prob only applies to toy_signal tasks")
 
     @property
     def descriptors(self) -> tuple[str, ...]:
-        if self.family == "cond_ring":
-            return ("radius",)
-        if self.family == "toy_signal":
-            return ("t60", "c50") if self.degradation == "reverb" else ("sdr",)
-        return ()
+        if self.degradation is not None:
+            return DEGRADATIONS[self.degradation].descriptors
+        return ("radius",) if self.family == "cond_ring" else ()
 
     @property
     def cond_dim(self) -> int:
@@ -127,7 +144,7 @@ def gen_toy_signal(m: int, n: int, fs: float, rng: np.random.Generator) -> np.nd
     out = np.zeros((m, n))
     for i in range(m):
         n_comp = int(rng.integers(3, 9))
-        freqs = rng.uniform(60.0, fs / 4.0, size=n_comp)
+        freqs = rng.uniform(MIN_TONE_HZ, fs / 4.0, size=n_comp)
         amps = rng.uniform(0.3, 1.0, size=n_comp)
         phases = rng.uniform(0.0, 2.0 * np.pi, size=n_comp)
         out[i] = (amps[:, None] * np.sin(2.0 * np.pi * freqs[:, None] * t + phases[:, None])).sum(
@@ -222,68 +239,57 @@ def clip_to_sdr(x: np.ndarray, target_db: float, tol: float = 0.1) -> ClipResult
     return ClipResult(x.copy(), peak, SDR_CAP_DB, False)
 
 
+def degrade(
+    spec: TaskSpec, x: np.ndarray, target: float, rng: np.random.Generator
+) -> tuple[np.ndarray, tuple[float, ...]]:
+    """Degrade one clean signal toward a target descriptor: (values, descriptors).
+
+    reverb: convolve with a fresh kernel at T60 = target, its taps drawn from
+    rng, peak-normalize to 0.9 and report (t60, c50). clip: clip to SDR =
+    target (rng unused) and report the SDR actually reached.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if spec.degradation == "reverb":
+        kernel = make_reverb_kernel(target, spec.fs, max(spec.n / spec.fs, EARLY_WINDOW_S), rng)
+        wet = apply_reverb(x, kernel)
+        return 0.9 * wet / np.abs(wet).max(), (target, compute_c50(kernel, spec.fs))
+    if spec.degradation == "clip":
+        result = clip_to_sdr(x, target)
+        return result.values, (result.achieved_sdr,)
+    raise ValidationError(f"{spec.family} task has no degradation")
+
+
 def make_training_stream(
     spec: TaskSpec, batch_size: int, rng: np.random.Generator
 ) -> Iterator[SignalBatch]:
     """Endless stream of training batches for a task.
 
-    Signal tasks draw a fresh degradation per sample and attach its
-    ground-truth descriptors as the condition; with probability
-    clean_mix_prob a sample is left clean and carries the boundary
-    descriptors (t60 = CLEAN_T60, capped c50 / sdr) instead.
+    Signal tasks draw a fresh degradation target per sample from the
+    degradation's target range and attach the descriptors `degrade` reports
+    as the condition; with probability clean_mix_prob a sample is left clean
+    and carries the degradation's clean descriptors instead.
     """
     if batch_size < 1:
         raise ValidationError(f"batch_size must be >= 1, got {batch_size}")
 
-    def planar() -> Iterator[SignalBatch]:
-        gen = {
-            "two_moons": lambda: gen_two_moons(batch_size, rng, noise=spec.seed_noise),
-            "checkerboard": lambda: gen_checkerboard(batch_size, rng),
-            "eight_gaussians": lambda: gen_eight_gaussians(batch_size, rng),
-        }
-        if spec.family == "cond_ring":
-            while True:
-                pts, r = gen_cond_ring(batch_size, rng)
-                yield SignalBatch(pts, r)
-        else:
-            draw = gen[spec.family]
-            while True:
-                yield SignalBatch(draw())
+    def signal_batch() -> SignalBatch:
+        table = DEGRADATIONS[spec.degradation]
+        clean = gen_toy_signal(batch_size, spec.n, spec.fs, rng)
+        values = np.empty_like(clean)
+        cond = np.empty((batch_size, spec.cond_dim), dtype=np.float32)
+        for i in range(batch_size):
+            if rng.random() < spec.clean_mix_prob:
+                values[i], cond[i] = clean[i], table.clean
+            else:
+                target = float(rng.uniform(*table.target_range))
+                values[i], cond[i] = degrade(spec, clean[i], target, rng)
+        return SignalBatch(values, cond)
 
-    def reverb() -> Iterator[SignalBatch]:
-        duration = max(spec.n / spec.fs, EARLY_WINDOW_S)
-        while True:
-            clean = gen_toy_signal(batch_size, spec.n, spec.fs, rng)
-            values = np.empty_like(clean)
-            cond = np.empty((batch_size, 2), dtype=np.float32)
-            for i in range(batch_size):
-                if rng.random() < spec.clean_mix_prob:
-                    values[i] = clean[i]
-                    cond[i] = (CLEAN_T60, SDR_CAP_DB)
-                    continue
-                t60 = float(rng.uniform(0.1, 1.0))
-                kernel = make_reverb_kernel(t60, spec.fs, duration, rng)
-                wet = apply_reverb(clean[i].astype(np.float64), kernel)
-                values[i] = (0.9 * wet / np.abs(wet).max()).astype(np.float32)
-                cond[i] = (t60, compute_c50(kernel, spec.fs))
-            yield SignalBatch(values, cond)
-
-    def clip() -> Iterator[SignalBatch]:
-        while True:
-            clean = gen_toy_signal(batch_size, spec.n, spec.fs, rng)
-            values = np.empty_like(clean)
-            cond = np.empty((batch_size, 1), dtype=np.float32)
-            for i in range(batch_size):
-                if rng.random() < spec.clean_mix_prob:
-                    values[i] = clean[i]
-                    cond[i] = SDR_CAP_DB
-                    continue
-                target = float(rng.uniform(1.0, 40.0))
-                result = clip_to_sdr(clean[i].astype(np.float64), target)
-                values[i] = result.values.astype(np.float32)
-                cond[i] = result.achieved_sdr
-            yield SignalBatch(values, cond)
-
-    if spec.family in PLANAR_FAMILIES:
-        return planar()
-    return reverb() if spec.degradation == "reverb" else clip()
+    draw = {
+        "two_moons": lambda: SignalBatch(gen_two_moons(batch_size, rng, noise=spec.seed_noise)),
+        "checkerboard": lambda: SignalBatch(gen_checkerboard(batch_size, rng)),
+        "eight_gaussians": lambda: SignalBatch(gen_eight_gaussians(batch_size, rng)),
+        "cond_ring": lambda: SignalBatch(*gen_cond_ring(batch_size, rng)),
+        "toy_signal": signal_batch,
+    }[spec.family]
+    return (draw() for _ in itertools.count())

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import check_int_fields
+from .config import check_int_fields, check_real_fields
 from .coupling import couple_chunked_ot, couple_independent
 from .exceptions import ConfigError, TrainingDivergedError
 from .flow import cfm_loss
@@ -38,13 +38,14 @@ class TrainConfig:
     log_every: int = 100
 
     def __post_init__(self):
-        check_int_fields(self, "iterations", "batch_size", "seed", "log_every")
+        check_int_fields(self, "iterations", "batch_size", "log_every", low=1)
+        check_int_fields(self, "seed", low=0)
+        check_real_fields(self, "lr", positive=True)
+        check_real_fields(self, "cond_dropout", unit=True)
         if self.chunk_size is not None:
-            check_int_fields(self, "chunk_size")
-        if self.iterations < 1:
-            raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+            check_int_fields(self, "chunk_size", low=1)
+        if self.sinkhorn_epsilon is not None:
+            check_real_fields(self, "sinkhorn_epsilon", positive=True)
         if self.coupling not in ("independent", "chunked_ot"):
             raise ConfigError(f"unknown coupling {self.coupling!r}")
         if self.coupling == "chunked_ot" and self.chunk_size is None:
@@ -53,14 +54,6 @@ class TrainConfig:
             raise ConfigError(f"unknown ot_method {self.ot_method!r}")
         if self.ot_method == "sinkhorn" and self.sinkhorn_epsilon is None:
             raise ConfigError("sinkhorn ot_method requires sinkhorn_epsilon")
-        for name in ("lr", "sinkhorn_epsilon"):
-            value = getattr(self, name)
-            if value is not None and not (np.isfinite(value) and value > 0):
-                raise ConfigError(f"{name} must be positive and finite, got {value}")
-        if not 0.0 <= self.cond_dropout <= 1.0:
-            raise ConfigError(f"cond_dropout must be in [0, 1], got {self.cond_dropout}")
-        if self.log_every < 1:
-            raise ConfigError(f"log_every must be >= 1, got {self.log_every}")
 
 
 @dataclass
@@ -88,9 +81,7 @@ def train(
     iteration.
     """
     if model_config.signal_length != task.n:
-        raise ConfigError(
-            f"model signal_length {model_config.signal_length} != task n {task.n}"
-        )
+        raise ConfigError(f"model signal_length {model_config.signal_length} != task n {task.n}")
     if model_config.cond_dim != task.cond_dim:
         raise ConfigError(
             f"model cond_dim {model_config.cond_dim} != task descriptor count {task.cond_dim}"

@@ -14,6 +14,14 @@ from flowbridge.signalio import load_signals, read_csv, save_signals
 from flowbridge.tasks import gen_two_moons
 
 
+def _assert_one_error_line(rc, capsys, needle):
+    """The command exited 1 with exactly one `error:` line on stderr, containing needle."""
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert needle in err
+
+
 @pytest.fixture(scope="module")
 def planar_run(tmp_path_factory):
     """A tiny trained two-moons checkpoint shared by the read-only commands."""
@@ -70,8 +78,7 @@ def test_train_rejects_derived_model_keys(tmp_path, capsys):
         "train": {"iterations": 2, "batch_size": 4},
     }))
     rc = main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "r")])
-    assert rc == 1
-    assert "signal_length" in capsys.readouterr().err
+    _assert_one_error_line(rc, capsys, "signal_length")
 
 
 def test_train_unknown_task_key(tmp_path, capsys):
@@ -81,8 +88,7 @@ def test_train_unknown_task_key(tmp_path, capsys):
         "train": {"iterations": 2, "batch_size": 4},
     }))
     rc = main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "r")])
-    assert rc == 1
-    assert "task section" in capsys.readouterr().err
+    _assert_one_error_line(rc, capsys, "task section")
 
 
 @pytest.mark.parametrize(
@@ -109,37 +115,44 @@ def test_train_rejects_non_integer_field(tmp_path, capsys, override):
     }))
     out = tmp_path / "r"
     rc = main(["train", "--config", str(cfg_path), "--out", str(out), "--set", override])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert f"{override.split('=')[0].split('.')[-1]} must be an integer" in err
+    _assert_one_error_line(rc, capsys, f"{override.split('=')[0].split('.')[-1]} must be an integer")
     assert not out.exists()
 
 
 @pytest.mark.parametrize(
-    "override", ["train.sinkhorn_epsilon=NaN", "train.lr=Infinity", "model.max_time_freq=Infinity"]
+    "override",
+    [
+        "train.sinkhorn_epsilon=NaN",
+        "train.lr=Infinity",
+        "model.max_time_freq=Infinity",
+        "train.lr=true",
+        "train.cond_dropout=true",
+        "train.sinkhorn_epsilon=true",
+        "model.max_time_freq=true",
+        "task.seed_noise=true",
+        "task.clean_mix_prob=true",
+        "task.fs=0",
+        "task.fs=NaN",
+        "task.fs=200",
+    ],
 )
 def test_train_rejects_non_finite_hyperparameter(tmp_path, capsys, override):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
-        "task": {"family": "two_moons"},
+        "task": {"family": "toy_signal", "n": 16, "degradation": "clip"},
         "model": {"hidden": 8, "depth": 2},
         "train": {"iterations": 2, "batch_size": 4, "coupling": "chunked_ot",
                   "chunk_size": 2, "ot_method": "sinkhorn", "sinkhorn_epsilon": 0.5},
     }))
     out = tmp_path / "r"
     rc = main(["train", "--config", str(cfg_path), "--out", str(out), "--set", override])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert override.split(".")[1].split("=")[0] in err
+    _assert_one_error_line(rc, capsys, override.split(".")[1].split("=")[0])
     assert not out.exists()
 
 
 def test_train_missing_config_file(tmp_path, capsys):
     rc = main(["train", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "r")])
-    assert rc == 1
-    assert "error:" in capsys.readouterr().err
+    _assert_one_error_line(rc, capsys, "cannot read config")
 
 
 def test_curvature_command(planar_run, tmp_path, capsys):
@@ -182,8 +195,7 @@ def test_bridge_condition_on_unconditional_model(planar_run, tmp_path, capsys):
         "--input", str(sig_path), "--out", str(tmp_path / "b"),
         "--condition", "0.7",
     ])
-    assert rc == 1
-    assert "condition" in capsys.readouterr().err
+    _assert_one_error_line(rc, capsys, "condition")
 
 
 def test_bridge_non_numeric_condition(planar_run, tmp_path, capsys):
@@ -194,10 +206,7 @@ def test_bridge_non_numeric_condition(planar_run, tmp_path, capsys):
         "--input", str(sig_path), "--out", str(tmp_path / "b"),
         "--condition", "0.5,loud",
     ])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "--condition" in err
-    assert len(err.splitlines()) == 1
+    _assert_one_error_line(rc, capsys, "--condition")
 
 
 def test_bridge_corrupt_sidecar(planar_run, tmp_path, capsys):
@@ -208,10 +217,7 @@ def test_bridge_corrupt_sidecar(planar_run, tmp_path, capsys):
         "bridge", "--checkpoint", str(planar_run / "model.fbc"),
         "--input", str(sig_path), "--out", str(tmp_path / "b"),
     ])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "corrupt sidecar" in err
-    assert len(err.splitlines()) == 1
+    _assert_one_error_line(rc, capsys, "corrupt sidecar")
 
 
 @pytest.mark.parametrize("gamma", ["nan", "inf", "abc"])
@@ -222,10 +228,7 @@ def test_bridge_rejects_non_finite_gamma(planar_run, tmp_path, capsys, gamma):
         "bridge", "--checkpoint", str(planar_run / "model.fbc"),
         "--input", str(sig_path), "--out", str(tmp_path / "b"), "--gamma", gamma,
     ])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "--gamma" in err
-    assert len(err.splitlines()) == 1
+    _assert_one_error_line(rc, capsys, "--gamma")
 
 
 def test_bridge_rejects_nan_input(planar_run, tmp_path, capsys):
@@ -235,10 +238,7 @@ def test_bridge_rejects_nan_input(planar_run, tmp_path, capsys):
         "bridge", "--checkpoint", str(planar_run / "model.fbc"),
         "--input", str(sig_path), "--out", str(tmp_path / "b"), "--steps", "4",
     ])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "non-finite" in err
-    assert len(err.splitlines()) == 1
+    _assert_one_error_line(rc, capsys, "non-finite")
 
 
 def test_bridge_length_mismatch(planar_run, tmp_path, capsys):
@@ -248,8 +248,7 @@ def test_bridge_length_mismatch(planar_run, tmp_path, capsys):
         "bridge", "--checkpoint", str(planar_run / "model.fbc"),
         "--input", str(sig_path), "--out", str(tmp_path / "b"),
     ])
-    assert rc == 1
-    assert "length" in capsys.readouterr().err
+    _assert_one_error_line(rc, capsys, "length")
 
 
 def test_eval_command(planar_run, tmp_path, capsys):
@@ -305,9 +304,7 @@ def test_eval_rejects_malformed_task_metadata(planar_run, tmp_path, capsys, extr
     ckpt.parent.mkdir()
     save_checkpoint(ckpt, model, extra=extra)
     rc = main(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "ev"), "--gammas", "1"])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and len(err.splitlines()) == 1
+    _assert_one_error_line(rc, capsys, str(ckpt))
 
 
 @pytest.mark.parametrize("gammas", ["a", "0,", "1,nan"])
@@ -316,10 +313,26 @@ def test_eval_rejects_non_numeric_gammas(planar_run, tmp_path, capsys, gammas):
         "eval", "--checkpoint", str(planar_run / "model.fbc"),
         "--out", str(tmp_path / "ev"), "--gammas", gammas,
     ])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "--gammas" in err
-    assert len(err.splitlines()) == 1
+    _assert_one_error_line(rc, capsys, "--gammas")
+
+
+@pytest.mark.parametrize(
+    "argv,needle",
+    [
+        (["curvature", "--samples", "0"], "samples must be >= 1"),
+        (["curvature", "--samples", "-1"], "samples must be >= 1"),
+        (["curvature", "--seed", "-1"], "seed must be >= 0"),
+        (["eval", "--samples", "-1"], "samples must be >= 1"),
+        (["eval", "--seed", "-1"], "seed must be >= 0"),
+    ],
+    ids=["curvature_samples_0", "curvature_samples_neg", "curvature_seed_neg",
+         "eval_samples_neg", "eval_seed_neg"],
+)
+def test_rejects_bad_count_or_seed(planar_run, tmp_path, capsys, argv, needle):
+    out = tmp_path / "o"
+    rc = main([*argv, "--checkpoint", str(planar_run / "model.fbc"), "--out", str(out)])
+    _assert_one_error_line(rc, capsys, needle)
+    assert not out.exists()
 
 
 def test_plot_command(planar_run, tmp_path):
@@ -353,8 +366,7 @@ def test_plot_unknown_column(planar_run, tmp_path, capsys):
         "plot", "--input", str(planar_run / "loss.csv"),
         "--out", str(tmp_path / "x.svg"), "--x", "iteration", "--y", "nope",
     ])
-    assert rc == 1
-    assert "nope" in capsys.readouterr().err
+    _assert_one_error_line(rc, capsys, "nope")
 
 
 def test_module_entry_point_exists():

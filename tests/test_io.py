@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from flowbridge.config import apply_overrides, dump_config, load_config
 from flowbridge.exceptions import ConfigError, CsvFormatError, ValidationError
 from flowbridge.signalio import format_value, load_signals, read_csv, save_signals, write_csv
-from flowbridge.svgplot import SvgFigure
+from flowbridge.svgplot import PALETTE, SvgFigure
 
 
 class TestConfig:
@@ -179,6 +179,11 @@ class TestSvgFigure:
         assert "<polygon" in svg
         assert "loss &lt; curve" in svg
         assert "a &amp; b" in svg
+        # an uncoloured band takes the colour of the line drawn after it
+        ns = {"s": "http://www.w3.org/2000/svg"}
+        root = ET.fromstring(svg)
+        lines = root.findall(".//s:polyline", ns)
+        assert root.find(".//s:polygon", ns).get("fill") == lines[1].get("stroke") == PALETTE[1]
 
     def test_coordinates_stay_in_viewport(self):
         svg = self._figure().render()

@@ -601,6 +601,13 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("header", [b"[]", b"5", b'"config"'])
+    def test_rejects_non_object_header(self, tmp_path, header):
+        path = tmp_path / "list.fbc"
+        path.write_bytes(b"FBRIDGE1" + struct.pack("<II", 1, len(header)) + header)
+        with pytest.raises(CheckpointError, match="header must be an object"):
+            load_checkpoint(path)
+
     def test_rejects_trailing_garbage(self, tmp_path):
         model = _make_model(dtype="float32")
         path = tmp_path / "trail.fbc"
@@ -638,9 +645,13 @@ class TestCheckpoint:
             ("config", lambda c: {**c, "hidden": 4.0}),
             ("config", lambda c: {**c, "hidden": 0}),
             ("config", lambda c: {**c, "kernel_size": 5.0}),
+            ("config", lambda c: {**c, "max_time_freq": True}),
+            ("config", lambda c: {**c, "bogus": 1}),
+            ("config", lambda c: None),
         ],
         ids=["params_int", "params_null", "shape_int", "empty_entry", "long_entry", "extra_list",
-             "hidden_float", "hidden_zero", "kernel_float"],
+             "hidden_float", "hidden_zero", "kernel_float", "time_freq_bool", "config_unknown_key",
+             "config_null"],
     )
     def test_rejects_bad_manifest_or_extra(self, tmp_path, key, edit):
         path = _saved_with_header(tmp_path, key, edit)

@@ -1,5 +1,7 @@
 """Tests for the synthetic task generators and degradations."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from flowbridge.tasks import (
     clip_signal,
     clip_to_sdr,
     compute_c50,
+    degrade,
     gen_checkerboard,
     gen_cond_ring,
     gen_eight_gaussians,
@@ -44,6 +47,17 @@ class TestTaskSpec:
     def test_length_must_be_an_integer(self, n):
         with pytest.raises(ConfigError, match="n must be an integer"):
             TaskSpec("two_moons", n=n)
+
+    @pytest.mark.parametrize(
+        "field,bad",
+        [("fs", 0.0), ("fs", -8000.0), ("fs", 239.0), ("fs", float("nan")), ("fs", True),
+         ("seed_noise", True), ("seed_noise", float("inf")), ("clean_mix_prob", True),
+         ("clean_mix_prob", float("nan"))],
+    )
+    def test_rejects_bad_real_field(self, field, bad):
+        with pytest.raises(ConfigError, match=field):
+            TaskSpec("toy_signal", n=64, degradation="clip", **{field: bad})
+        TaskSpec("toy_signal", n=64, fs=240.0, degradation="clip")
 
     def test_unknown_family(self):
         with pytest.raises(ConfigError):
@@ -244,6 +258,40 @@ class TestTrainingStream:
         batch = next(stream)
         assert batch.condition.shape == (4, 1)
         assert np.all((batch.condition[:, 0] >= 0.9) & (batch.condition[:, 0] <= 40.1))
+
+    @pytest.mark.parametrize(
+        "degradation,clean_mix_prob,digest",
+        [
+            ("reverb", 0.0, "68fad249fd93d8f4b1b67149146a51d951ce213aae8b620e473aee9406f612bf"),
+            ("reverb", 0.3, "9747b67b5d52987572874c1a2ea9b72a680cd9513f08918ea37351774579ff36"),
+            ("clip", 0.0, "9032520e619ed104722563d0c0a3f056232b2d4062dbe05a100198d8e4bc9c24"),
+            ("clip", 0.3, "500dcb5dd6c167ddfa540c4040eb472f80f8a6dd6a3ccfa2236d85bcab48a751"),
+        ],
+    )
+    def test_signal_stream_golden_digest(self, degradation, clean_mix_prob, digest):
+        """The first three batches are bit for bit the ones the stream has always drawn."""
+        spec = TaskSpec("toy_signal", n=256, fs=8000.0, degradation=degradation,
+                        clean_mix_prob=clean_mix_prob)
+        stream = make_training_stream(spec, 4, np.random.default_rng(21))
+        h = hashlib.sha256()
+        for _ in range(3):
+            batch = next(stream)
+            h.update(batch.values.tobytes())
+            h.update(batch.condition.tobytes())
+        assert h.hexdigest() == digest
+
+    def test_degrade_reports_the_descriptors_reached(self):
+        x = gen_toy_signal(1, 512, 8000.0, np.random.default_rng(22))[0]
+        wet, (t60, c50) = degrade(
+            TaskSpec("toy_signal", n=512, degradation="reverb"), x, 0.4, np.random.default_rng(23)
+        )
+        assert t60 == 0.4 and np.isfinite(c50)
+        assert np.abs(wet).max() == pytest.approx(0.9)
+        clipped, (got,) = degrade(TaskSpec("toy_signal", n=512, degradation="clip"), x, 6.0, None)
+        assert got == pytest.approx(6.0, abs=0.1)
+        assert got == sdr(x.astype(np.float64), clipped)
+        with pytest.raises(ValidationError):
+            degrade(TaskSpec("two_moons"), x, 6.0, np.random.default_rng(0))
 
     def test_stream_reproducibility(self):
         spec = TaskSpec("two_moons")

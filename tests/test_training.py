@@ -48,6 +48,13 @@ class TestTrainConfig:
             with pytest.raises(ConfigError):
                 TrainConfig(iterations=5, coupling="chunked_ot", chunk_size=2,
                             ot_method="sinkhorn", sinkhorn_epsilon=bad)
+        for field in ("lr", "sinkhorn_epsilon", "cond_dropout"):
+            for bad in (True, False, float("nan"), "0.5", None):
+                if field == "sinkhorn_epsilon" and bad is None:
+                    continue  # None is the unset epsilon of the exact solver
+                with pytest.raises(ConfigError, match=field):
+                    TrainConfig(**{"iterations": 5, "coupling": "chunked_ot", "chunk_size": 2,
+                                   "ot_method": "sinkhorn", "sinkhorn_epsilon": 0.5, field: bad})
 
 
 class TestTrain:
