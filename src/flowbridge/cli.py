@@ -27,7 +27,7 @@ def _cmd_train(args) -> int:
     cfg = load_config(args.config)
     cfg = apply_overrides(cfg, args.set or [])
     if args.seed is not None:
-        cfg["seed"] = args.seed
+        cfg = apply_overrides(cfg, [f"seed={args.seed}", f"train.seed={args.seed}"])
 
     task = build_config(TaskSpec, cfg.get("task", {}), "task")
     model_cfg = build_config(
@@ -191,6 +191,13 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _cell(col: str, text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ConfigError(f"column {col!r} holds a non-numeric cell {text!r}") from None
+
+
 def _cmd_plot(args) -> int:
     header, rows = read_csv(args.input)
     for col in [args.x, *args.y]:
@@ -205,10 +212,10 @@ def _cmd_plot(args) -> int:
         gi, groups = None, [None]
     for group in groups:
         sel = rows if gi is None else [r for r in rows if r[gi] == group]
-        xs = [float(r[xi]) for r in sel]
+        xs = [_cell(args.x, r[xi]) for r in sel]
         for col in args.y:
             yi = header.index(col)
-            ys = [float(r[yi]) for r in sel]
+            ys = [_cell(col, r[yi]) for r in sel]
             label = col if group is None else f"{group}:{col}" if len(args.y) > 1 else group
             fig.line(xs, ys, label=label)
     fig.save(args.out)

@@ -2,8 +2,10 @@
 
 A Tensor wraps an ndarray plus a backward closure; calling backward() on an
 output walks the tape in reverse topological order and accumulates gradients
-into every tensor created with requires_grad=True. Only the operations the
-vector-field models need are provided.
+into every tensor created with requires_grad=True. The ops are the ones the
+vector-field models need, one tape node per layer: ``add``, ``matmul`` and
+``conv1d`` (both take their bias), ``silu``, ``where``, ``film`` (a whole
+FiLM modulation), ``concat`` and ``reshape``.
 
 Inside a ``no_grad()`` block no tape is recorded: every op returns a Tensor
 with no parents and no backward closure, so each intermediate is freed as
@@ -21,12 +23,11 @@ __all__ = [
     "Tensor",
     "no_grad",
     "add",
-    "mul",
     "matmul",
     "silu",
     "conv1d",
+    "film",
     "concat",
-    "slice_last",
     "reshape",
     "where",
 ]
@@ -117,15 +118,7 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     return out
 
 
-def _coerce(x, like: Tensor) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=like.data.dtype))
-
-
-def add(a: Tensor, b) -> Tensor:
-    b = _coerce(b, a)
-
+def add(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         _accumulate(a, _sum_to_shape(g, a.data.shape))
         _accumulate(b, _sum_to_shape(g, b.data.shape))
@@ -133,22 +126,17 @@ def add(a: Tensor, b) -> Tensor:
     return _node(a.data + b.data, (a, b), backward)
 
 
-def mul(a: Tensor, b) -> Tensor:
-    b = _coerce(b, a)
+def matmul(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Dense layer x @ w + b. x: (R, C_in), w: (C_in, C_out), b: (C_out,)."""
+    y = x.data @ w.data
+    y += b.data
 
     def backward(g):
-        _accumulate(a, _sum_to_shape(g * b.data, a.data.shape))
-        _accumulate(b, _sum_to_shape(g * a.data, b.data.shape))
+        _accumulate(b, g.sum(axis=0))
+        _accumulate(w, x.data.T @ g)
+        _accumulate(x, g @ w.data.T)
 
-    return _node(a.data * b.data, (a, b), backward)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    def backward(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
-
-    return _node(a.data @ b.data, (a, b), backward)
+    return _node(y, (x, w, b), backward)
 
 
 def silu(x: Tensor) -> Tensor:
@@ -209,6 +197,26 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _node(y, (x, w, b), backward)
 
 
+def film(h: Tensor, st: Tensor) -> Tensor:
+    """FiLM modulation h * (s + 1) + t, where st = [s | t] is (R, 2C) and h is (B, C)
+    or (B, C, L). s and t broadcast over the length axis, and over the rows when R = 1."""
+    rows, c = st.data.shape[0], h.data.shape[1]
+    st_b = st.data.reshape(st.data.shape + (1,) * (h.data.ndim - 2))
+    s, t = st_b[:, :c], st_b[:, c:]
+    s1 = s + 1.0
+    y = h.data * s1
+    y += t
+
+    def backward(g):
+        gst = np.empty_like(st.data)
+        gst[:, :c] = _sum_to_shape(g * h.data, s1.shape).reshape(rows, c)
+        gst[:, c:] = _sum_to_shape(g, t.shape).reshape(rows, c)
+        _accumulate(st, gst)
+        _accumulate(h, g * s1)
+
+    return _node(y, (h, st), backward)
+
+
 def concat(parts: list[Tensor], axis: int = -1) -> Tensor:
     sizes = [p.data.shape[axis] for p in parts]
 
@@ -221,17 +229,6 @@ def concat(parts: list[Tensor], axis: int = -1) -> Tensor:
             offset += size
 
     return _node(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), backward)
-
-
-def slice_last(x: Tensor, start: int, stop: int) -> Tensor:
-    """Slice along the last axis; backward zero-pads back to full width."""
-
-    def backward(g):
-        full = np.zeros_like(x.data)
-        full[..., start:stop] = g
-        _accumulate(x, full)
-
-    return _node(x.data[..., start:stop], (x,), backward)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:

@@ -62,10 +62,6 @@ def time_embedding(tau: np.ndarray, n_features: int, max_freq: float, dtype) -> 
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1).astype(dtype)
 
 
-def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return ad.add(ad.matmul(x, w), b)
-
-
 class VectorFieldModel:
     """Velocity network v(x, tau, condition) with learned null-condition handling.
 
@@ -146,12 +142,12 @@ class VectorFieldModel:
             # Zero absent rows *before* the matmul so their payload (possibly
             # NaN) never reaches the parameters.
             cond_in = np.where(present[:, None], condition, 0.0).astype(dt)
-            real = _linear(Tensor(cond_in), self.params["cond_w"], self.params["cond_b"])
+            real = ad.matmul(Tensor(cond_in), self.params["cond_w"], self.params["cond_b"])
         else:
             real = Tensor(np.zeros((rows, 1), dtype=dt))
         emb = ad.where(present[:, None], real, self.params["null_cond"])
         ctx_in = ad.concat([temb, emb, Tensor(present.astype(dt)[:, None])], axis=1)
-        return ad.silu(_linear(ctx_in, self.params["ctx_w"], self.params["ctx_b"]))
+        return ad.silu(ad.matmul(ctx_in, self.params["ctx_w"], self.params["ctx_b"]))
 
     def forward(
         self,
@@ -182,16 +178,13 @@ class VectorFieldModel:
         xt = Tensor(np.asarray(x, dtype=dt))
         p = self.params
         if cfg.backbone == "mlp":
-            mix, x_shape, feat_shape = _linear, (b, cfg.signal_length), (-1, cfg.hidden)
+            mix, x_shape = ad.matmul, (b, cfg.signal_length)
         else:
-            mix, x_shape, feat_shape = ad.conv1d, (b, 1, cfg.signal_length), (-1, cfg.hidden, 1)
+            mix, x_shape = ad.conv1d, (b, 1, cfg.signal_length)
         h = mix(ad.reshape(xt, x_shape), p["in_w"], p["in_b"])
         for i in range(cfg.depth):
-            film = _linear(ctx, p[f"film{i}_w"], p[f"film{i}_b"])
-            s = ad.reshape(ad.slice_last(film, 0, cfg.hidden), feat_shape)
-            t = ad.reshape(ad.slice_last(film, cfg.hidden, 2 * cfg.hidden), feat_shape)
-            u = ad.add(ad.mul(h, ad.add(s, 1.0)), t)
-            z = ad.silu(mix(u, p[f"block{i}_w1"], p[f"block{i}_b1"]))
+            st = ad.matmul(ctx, p[f"film{i}_w"], p[f"film{i}_b"])
+            z = ad.silu(mix(ad.film(h, st), p[f"block{i}_w1"], p[f"block{i}_b1"]))
             h = ad.add(h, mix(z, p[f"block{i}_w2"], p[f"block{i}_b2"]))
         return ad.reshape(mix(h, p["out_w"], p["out_b"]), (b, cfg.signal_length))
 

@@ -70,6 +70,31 @@ def test_train_set_override(tmp_path, capsys):
     assert "3 iterations" in capsys.readouterr().out
 
 
+def test_train_seed_flag_sets_the_training_seed(tmp_path):
+    # --seed overrides train.seed, and the flag, config.json and the
+    # checkpoint all agree on the seed the run used.
+    def run(name, train_seed, argv):
+        cfg_path = tmp_path / f"{name}.json"
+        cfg_path.write_text(json.dumps({
+            "task": {"family": "two_moons"},
+            "model": {"hidden": 8, "depth": 2},
+            "train": {"iterations": 3, "batch_size": 4, "seed": train_seed},
+        }))
+        out = tmp_path / name
+        assert main(["train", "--config", str(cfg_path), "--out", str(out), *argv]) == 0
+        return out
+
+    flagged = run("flag", 5, ["--seed", "9"])
+    configured = run("cfg", 9, [])
+    echoed = json.loads((flagged / "config.json").read_text())
+    assert echoed["seed"] == 9 and echoed["train"]["seed"] == 9
+    model, _, extra = load_checkpoint(flagged / "model.fbc")
+    assert extra["train"]["seed"] == 9
+    reference, _, _ = load_checkpoint(configured / "model.fbc")
+    for name, p in model.params.items():
+        assert np.array_equal(p.data, reference.params[name].data), name
+
+
 def test_train_rejects_derived_model_keys(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
@@ -367,6 +392,17 @@ def test_plot_unknown_column(planar_run, tmp_path, capsys):
         "--out", str(tmp_path / "x.svg"), "--x", "iteration", "--y", "nope",
     ])
     _assert_one_error_line(rc, capsys, "nope")
+
+
+def test_plot_non_numeric_column(tmp_path, capsys):
+    csv_path = tmp_path / "curvature.csv"
+    csv_path.write_text("model,tau,mean\nmoons,0.0,1.0\nmoons,0.5,2.0\n")
+    out = tmp_path / "c.svg"
+    rc = main([
+        "plot", "--input", str(csv_path), "--out", str(out), "--x", "model", "--y", "mean",
+    ])
+    _assert_one_error_line(rc, capsys, "column 'model' holds a non-numeric cell 'moons'")
+    assert not out.exists()
 
 
 def test_module_entry_point_exists():

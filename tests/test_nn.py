@@ -79,6 +79,15 @@ def _conv_inputs(case, seed):
     return x, w, b
 
 
+# id -> (shape of h, rows of st). One row is the shared null context.
+FILM_CASES = {
+    "dense": ((4, 3), 4),
+    "conv": ((4, 3, 5), 4),
+    "one_row": ((4, 3), 1),
+    "one_row_conv": ((4, 3, 5), 1),
+}
+
+
 class TestAutodiffOps:
     def test_add_broadcast(self):
         rng = np.random.default_rng(0)
@@ -87,31 +96,45 @@ class TestAutodiffOps:
         _check_grad(lambda: (ad.add(a, b), a.zero_grad(), b.zero_grad())[0], a, 4, rng)
         _check_grad(lambda: (ad.add(a, b), a.zero_grad(), b.zero_grad())[0], b, 4, rng)
 
-    def test_mul_broadcast(self):
-        rng = np.random.default_rng(1)
-        a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-        b = Tensor(rng.standard_normal((3, 1)), requires_grad=True)
-
-        def f():
-            a.zero_grad()
-            b.zero_grad()
-            return ad.mul(a, b)
-
-        _check_grad(f, a, 4, rng)
-        _check_grad(f, b, 4, rng)
-
     def test_matmul(self):
+        # The bias is part of the op: x @ w + b, one tape node.
         rng = np.random.default_rng(2)
-        a = Tensor(rng.standard_normal((3, 5)), requires_grad=True)
-        b = Tensor(rng.standard_normal((5, 2)), requires_grad=True)
+        x = Tensor(rng.standard_normal((3, 5)), requires_grad=True)
+        w = Tensor(rng.standard_normal((5, 2)), requires_grad=True)
+        b = Tensor(rng.standard_normal(2), requires_grad=True)
 
         def f():
-            a.zero_grad()
-            b.zero_grad()
-            return ad.matmul(a, b)
+            for t in (x, w, b):
+                t.zero_grad()
+            return ad.matmul(x, w, b)
 
-        _check_grad(f, a, 5, rng)
-        _check_grad(f, b, 5, rng)
+        out = f()
+        assert np.array_equal(out.data, x.data @ w.data + b.data)
+        assert out._parents == (x, w, b)
+        for t, n_probes in ((x, 5), (w, 5), (b, 2)):
+            _check_grad(f, t, n_probes, rng)
+
+    @pytest.mark.parametrize("case", FILM_CASES)
+    def test_film(self, case):
+        # h * (s + 1) + t with st = [s | t]; a one-row st broadcasts over
+        # the batch, so its gradient sums over the rows (and the length).
+        h_shape, rows = FILM_CASES[case]
+        c = h_shape[1]
+        rng = np.random.default_rng(1)
+        h = Tensor(rng.standard_normal(h_shape), requires_grad=True)
+        st = Tensor(rng.standard_normal((rows, 2 * c)), requires_grad=True)
+
+        def f():
+            h.zero_grad()
+            st.zero_grad()
+            return ad.film(h, st)
+
+        s, t = st.data[:, :c], st.data[:, c:]
+        if len(h_shape) == 3:
+            s, t = s[:, :, None], t[:, :, None]
+        assert np.array_equal(f().data, h.data * (s + 1.0) + t)
+        _check_grad(f, h, 6, rng)
+        _check_grad(f, st, 6, rng)
 
     def test_silu(self):
         rng = np.random.default_rng(3)
@@ -191,25 +214,28 @@ class TestAutodiffOps:
             ad.conv1d(Tensor(np.zeros((1, 1, 8))), Tensor(np.zeros((1, 1, 4))), Tensor(np.zeros(1)))
 
     def test_concat_and_slice(self):
+        # film slices its concatenated st back into s and t.
         rng = np.random.default_rng(6)
-        a = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
-        b = Tensor(rng.standard_normal((2, 2)), requires_grad=True)
+        h = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        s = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        t = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
 
         def f():
-            a.zero_grad()
-            b.zero_grad()
-            return ad.slice_last(ad.concat([a, b], axis=1), 1, 4)
+            for x in (h, s, t):
+                x.zero_grad()
+            return ad.film(h, ad.concat([s, t], axis=1))
 
-        _check_grad(f, a, 4, rng)
-        _check_grad(f, b, 3, rng)
+        _check_grad(f, s, 4, rng)
+        _check_grad(f, t, 3, rng)
 
     def test_reshape_backward(self):
         rng = np.random.default_rng(7)
         x = Tensor(rng.standard_normal((2, 6)), requires_grad=True)
+        st = Tensor(rng.standard_normal((2, 4)))
 
         def f():
             x.zero_grad()
-            return ad.mul(ad.reshape(x, (2, 2, 3)), 2.0)
+            return ad.film(ad.reshape(x, (2, 2, 3)), st)
 
         _check_grad(f, x, 4, rng)
 
@@ -228,11 +254,11 @@ class TestAutodiffOps:
         assert np.array_equal(null.grad, g[[1, 3]].sum(axis=0, keepdims=True))
 
     def test_grad_accumulates_over_reuse(self):
-        # y = x*x + x: dy/dx = 2x + 1, exercised through two paths.
-        x = Tensor(np.array([3.0]), requires_grad=True)
-        y = ad.add(ad.mul(x, x), x)
+        # y = x @ x + 0 + x: dy/dx = 2x + 1, exercised through three paths.
+        x = Tensor(np.array([[3.0]]), requires_grad=True)
+        y = ad.add(ad.matmul(x, x, Tensor(np.zeros(1))), x)
         y.backward()
-        assert np.allclose(x.grad, [7.0])
+        assert np.allclose(x.grad, [[7.0]])
 
 
 class TestTimeEmbedding:
@@ -307,6 +333,22 @@ class TestVectorFieldModel:
             num = _fd_entry(loss, p.data, idx, h=1e-5)
             ana = float(p.grad[idx]) if p.grad is not None else 0.0
             assert _rel_err(num, ana) < 1e-4, f"{name}[{idx}]: fd={num} tape={ana}"
+
+    @pytest.mark.parametrize("backbone,reshapes", [("mlp", 0), ("conv", 2)])
+    def test_one_tape_node_per_layer(self, backbone, reshapes):
+        # The context is five nodes (condition layer, where, concat, dense
+        # layer, silu); each block six (FiLM layer, film, mixer, silu, mixer,
+        # residual add); plus the input and output mixers. The conv backbone
+        # adds the reshapes into and out of its channel axis.
+        model = _make_model(backbone=backbone, cond_dim=3, depth=3)
+        out = model.forward(np.zeros((4, 8)), np.full(4, 0.5), np.zeros((4, 3)))
+        seen, stack = {id(out): out}, [out]
+        while stack:
+            for p in stack.pop()._parents:
+                if id(p) not in seen:
+                    seen[id(p)] = p
+                    stack.append(p)
+        assert sum(1 for t in seen.values() if t._parents) == 5 + 6 * 3 + 2 + reshapes
 
     def test_absent_condition_payload_cannot_poison(self):
         # Rows flagged absent may carry NaN; output and gradients must stay

@@ -114,9 +114,10 @@ class TestTrain:
 
     def test_divergence_aborts_with_iteration(self):
         # A learning rate at the float32 overflow edge sends the first
-        # updated weights to inf, so the next forward pass goes non-finite.
+        # updated weights to inf, so the next forward pass goes non-finite
+        # and numpy warns of the overflow on the way.
         cfg = _small(iterations=200, lr=1e30)
-        with pytest.raises(TrainingDivergedError) as exc:
+        with pytest.warns(RuntimeWarning), pytest.raises(TrainingDivergedError) as exc:
             train(_planar_model(), TaskSpec("eight_gaussians"), cfg)
         assert 1 <= exc.value.iteration <= 200
 
