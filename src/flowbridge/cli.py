@@ -28,6 +28,10 @@ def _cmd_train(args) -> int:
     cfg = apply_overrides(cfg, args.set or [])
     if args.seed is not None:
         cfg = apply_overrides(cfg, [f"seed={args.seed}", f"train.seed={args.seed}"])
+    unknown = sorted(set(cfg) - {"seed", "task", "model", "train"})
+    if unknown:
+        names = ", ".join(map(repr, unknown))
+        raise ConfigError(f"unknown config key {names}; expected seed, task, model, train")
 
     task = build_config(TaskSpec, cfg.get("task", {}), "task")
     model_cfg = build_config(
@@ -64,9 +68,7 @@ def _cmd_curvature(args) -> int:
         model, _, extra = load_checkpoint(ckpt_path)
         label = Path(ckpt_path).stem if len(args.checkpoint) == 1 else Path(ckpt_path).parent.name
         rng = np.random.default_rng(args.seed)
-        z = rng.standard_normal((args.samples, model.config.signal_length)).astype(
-            model.config.np_dtype
-        )
+        z = rng.standard_normal((args.samples, model.config.signal_length))
         traj = integrate(model, z, schedule, direction="backward", method=args.method)
         prof = curvature_profile([traj])
         for tau, mean, p25, p75 in zip(prof.taus, prof.mean, prof.p25, prof.p75):
@@ -118,14 +120,11 @@ def _cmd_bridge(args) -> int:
     condition = _parse_condition(args.condition, values.shape[0], model.config.cond_dim)
     gamma = _parse_float("--gamma", args.gamma)
     schedule = SCHEDULES[args.schedule](args.steps)
-    result = gfb_transfer(
-        model, values.astype(model.config.np_dtype), schedule, condition,
-        gamma=gamma, method=args.method,
-    )
+    result = gfb_transfer(model, values, schedule, condition, gamma=gamma, method=args.method)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    save_signals(out / "output.fbs", result.output.astype(np.float32), fs=fs)
-    save_signals(out / "latent.fbs", result.latent.astype(np.float32), fs=fs)
+    save_signals(out / "output.fbs", result.output, fs=fs)
+    save_signals(out / "latent.fbs", result.latent, fs=fs)
     disp = np.linalg.norm(result.output - values, axis=1)
     rel = disp / np.maximum(np.linalg.norm(values, axis=1), 1e-12)
     print(
@@ -143,21 +142,20 @@ def _eval(model, task, gamma, schedule, method, samples, rng) -> tuple[str, floa
     W2 distance to it; signal tasks bridge the batch under its own conditions
     and report the mean round-trip SDR.
     """
-    dt = model.config.np_dtype
     if task.family == "toy_signal":
         batch = next(make_training_stream(task, samples, rng))
         result = gfb_transfer(
-            model, batch.values.astype(dt), schedule, batch.condition, gamma=gamma, method=method
+            model, batch.values, schedule, batch.condition, gamma=gamma, method=method
         )
         scores = [sdr(x, y) for x, y in zip(batch.values, result.output)]
         return "round_trip_sdr", float(np.mean(scores))
-    z = rng.standard_normal((samples, model.config.signal_length)).astype(dt)
+    z = rng.standard_normal((samples, model.config.signal_length))
     batch = next(make_training_stream(task, samples, rng))
     traj = integrate(
         model, z, schedule, direction="backward", method=method,
         condition=batch.condition, gamma=gamma,
     )
-    return "w2", empirical_w2(traj.final.astype(np.float64), batch.values.astype(np.float64))
+    return "w2", empirical_w2(traj.final, batch.values)
 
 
 def _cmd_eval(args) -> int:

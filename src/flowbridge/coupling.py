@@ -112,7 +112,6 @@ def couple_chunked_ot(
     batch: SignalBatch,
     rng: np.random.Generator,
     n_c: int,
-    method: str = "exact",
     epsilon: float | None = None,
 ) -> Coupling:
     """Pair data with noise through chunk-level optimal transport.
@@ -121,22 +120,18 @@ def couple_chunked_ot(
     the two couplings are comparable under a shared seed), then both streams
     are chunked, a squared-L2 cost matrix over all B*N/n_c chunks is solved,
     and the noise chunks are permuted into their matched data slots before
-    reassembly. ``method`` picks the solver: "exact" for the assignment
-    solver, "sinkhorn" for the entropy-regularized one (requires ``epsilon``;
-    pairs are then sampled from the plan rows).
+    reassembly. Without ``epsilon`` the assignment solver runs; with it, the
+    entropy-regularized solver runs at that epsilon and pairs are sampled
+    from the plan rows.
     """
     x1 = rng.standard_normal(batch.values.shape, dtype=np.float32)
     data_chunks = chunk(batch.values, n_c)
     noise_chunks = chunk(x1, n_c)
     c = ot.cost_matrix(data_chunks, noise_chunks)
-    if method == "exact":
+    if epsilon is None:
         sigma = ot.solve_exact(c).sigma
-    elif method == "sinkhorn":
-        if epsilon is None:
-            raise ValidationError("sinkhorn coupling requires epsilon")
+    else:
         plan = ot.solve_sinkhorn(c, epsilon=epsilon)
         sigma = ot.plan_to_pairs(plan, rng)
-    else:
-        raise ValidationError(f"unknown coupling method {method!r}")
     matched = unchunk(noise_chunks[sigma], batch.batch_size)
     return Coupling(batch.values, matched, batch.condition)

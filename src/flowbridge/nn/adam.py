@@ -27,10 +27,6 @@ class Adam:
         self.m = [np.zeros_like(p.data) for p in params]
         self.v = [np.zeros_like(p.data) for p in params]
 
-    def zero_grad(self):
-        for p in self.params:
-            p.zero_grad()
-
     def step(self):
         """Apply one update from the gradients currently on the parameters."""
         self.step_count += 1

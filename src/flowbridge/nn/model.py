@@ -117,9 +117,6 @@ class VectorFieldModel:
     def parameters(self) -> list[Tensor]:
         return list(self.params.values())
 
-    def param_names(self) -> list[str]:
-        return list(self.params.keys())
-
     def zero_grad(self):
         for p in self.params.values():
             p.zero_grad()

@@ -8,7 +8,7 @@ Marginals are always uniform (1/M on both sides).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -71,7 +71,6 @@ class TransportPlan:
     """
 
     pi: np.ndarray
-    epsilon: float
     converged: bool = True
     residual: float = 0.0
     iterations: int = 0
@@ -185,7 +184,7 @@ def solve_sinkhorn(
             break
 
     pi = _round_to_uniform(pi, m)
-    return TransportPlan(pi, epsilon, converged=converged, residual=residual, iterations=iterations)
+    return TransportPlan(pi, converged=converged, residual=residual, iterations=iterations)
 
 
 def _round_to_uniform(pi: np.ndarray, m: int) -> np.ndarray:

@@ -114,13 +114,18 @@ def integrate(
     0 (negative steps). With a condition, the field is the guided combination
     gamma * v_cond + (1 - gamma) * v_null; gamma = 1 and gamma = 0 skip the
     second network evaluation. Without a condition only the null branch is
-    evaluated. Raises ValidationError on a non-finite start state and
-    DivergenceError the first time a later state goes non-finite.
+    evaluated. The start state is cast to the model dtype; raises
+    ValidationError if it is then non-finite, and DivergenceError the first
+    time a later state goes non-finite.
     """
     if start.ndim != 2:
         raise ShapeError(f"start state must be (B, N), got {start.shape}")
+    dtype = model.config.np_dtype
+    # Cast before the check: a value past the model dtype's range becomes inf.
+    with np.errstate(over="ignore"):
+        x = start = np.asarray(start, dtype=dtype)
     if not np.all(np.isfinite(start)):
-        raise ValidationError("start state has non-finite values")
+        raise ValidationError(f"start state has non-finite values in {np.dtype(dtype).name}")
     if method not in ("euler", "midpoint"):
         raise ValidationError(f"unknown method {method!r}")
     if direction not in ("forward", "backward"):
@@ -128,7 +133,6 @@ def integrate(
 
     taus = schedule.taus if direction == "forward" else schedule.taus[::-1]
     n_steps = schedule.n_steps
-    dtype = model.config.np_dtype
 
     def guided_field(x, tau):
         if condition is None:
@@ -141,7 +145,6 @@ def integrate(
         v_cond = model.velocity(x, tau, condition)
         return cfg_combine(v_cond, v_null, gamma)
 
-    x = start = np.asarray(start, dtype=dtype)
     velocities = np.empty((n_steps,) + x.shape, dtype=dtype)
     for i in range(n_steps):
         tau_cur, tau_next = float(taus[i]), float(taus[i + 1])

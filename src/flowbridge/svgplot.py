@@ -17,12 +17,14 @@ from .exceptions import ValidationError
 __all__ = ["SvgFigure", "PALETTE"]
 
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
+_SIZE = (640.0, 420.0)  # width, height
 _MARGINS = (56.0, 16.0, 42.0, 46.0)  # left, right, top, bottom
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
+    """About five round-valued ticks covering [lo, hi]."""
     span = hi - lo
-    raw = span / max(target, 1)
+    raw = span / 5
     mag = 10.0 ** np.floor(np.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:
@@ -43,13 +45,10 @@ class _Series:
     y2: np.ndarray | None
     color: str
     label: str | None
-    opacity: float
 
 
 @dataclass
 class SvgFigure:
-    width: float = 640.0
-    height: float = 420.0
     title: str = ""
     xlabel: str = ""
     ylabel: str = ""
@@ -58,7 +57,7 @@ class SvgFigure:
     def _next_color(self) -> str:
         return PALETTE[len([s for s in self._series if s.kind != "band"]) % len(PALETTE)]
 
-    def _add(self, kind, xs, ys, y2=None, color=None, label=None, opacity=1.0):
+    def _add(self, kind, xs, ys, y2=None, label=None):
         xs = np.asarray(xs, dtype=np.float64).ravel()
         ys = np.asarray(ys, dtype=np.float64).ravel()
         if xs.shape != ys.shape or xs.size == 0:
@@ -69,15 +68,14 @@ class SvgFigure:
                 raise ValidationError("band needs lo and hi the same length as x")
         if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
             raise ValidationError("series contains non-finite values")
-        self._series.append(
-            _Series(kind, xs, ys, y2, color or self._next_color(), label, opacity)
-        )
+        self._series.append(_Series(kind, xs, ys, y2, self._next_color(), label))
 
-    def line(self, xs, ys, color=None, label=None):
-        self._add("line", xs, ys, color=color, label=label)
+    def line(self, xs, ys, label=None):
+        self._add("line", xs, ys, label=label)
 
-    def band(self, xs, lo, hi, color=None, opacity=0.25):
-        self._add("band", xs, lo, y2=hi, color=color, opacity=opacity)
+    def band(self, xs, lo, hi):
+        """A translucent fill between lo and hi in the colour of the next line."""
+        self._add("band", xs, lo, y2=hi)
 
     def _limits(self):
         xs = np.concatenate([s.xs for s in self._series])
@@ -98,7 +96,7 @@ class SvgFigure:
         if not self._series:
             raise ValidationError("figure has no series")
         ml, mr, mt, mb = _MARGINS
-        w, h = self.width, self.height
+        w, h = _SIZE
         x0, x1, y0, y1 = self._limits()
 
         def px(x):
@@ -165,13 +163,13 @@ class SvgFigure:
                 rev = [f"{px(x):.2f},{py(y):.2f}" for x, y in zip(s.xs[::-1], s.y2[::-1])]
                 parts.append(
                     f'<polygon points="{" ".join(fwd + rev)}" fill="{s.color}" '
-                    f'opacity="{s.opacity:g}" stroke="none"/>'
+                    'opacity="0.25" stroke="none"/>'
                 )
             else:
                 pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(s.xs, s.ys))
                 parts.append(
                     f'<polyline points="{pts}" fill="none" stroke="{s.color}" '
-                    f'stroke-width="1.8" opacity="{s.opacity:g}"/>'
+                    'stroke-width="1.8" opacity="1"/>'
                 )
 
         labeled = [s for s in self._series if s.label]

@@ -30,7 +30,6 @@ __all__ = [
     "make_reverb_kernel",
     "apply_reverb",
     "compute_c50",
-    "clip_signal",
     "ClipResult",
     "clip_to_sdr",
     "degrade",
@@ -196,16 +195,9 @@ def compute_c50(kernel: np.ndarray, fs: float) -> float:
     return min(10.0 * np.log10(early / late), SDR_CAP_DB)
 
 
-def clip_signal(x: np.ndarray, threshold: float) -> np.ndarray:
-    if threshold <= 0:
-        raise ValidationError(f"clip threshold must be positive, got {threshold}")
-    return np.clip(x, -threshold, threshold)
-
-
 @dataclass(frozen=True)
 class ClipResult:
     values: np.ndarray
-    threshold: float
     achieved_sdr: float
     achieved: bool
 
@@ -222,21 +214,21 @@ def clip_to_sdr(x: np.ndarray, target_db: float, tol: float = 0.1) -> ClipResult
     if peak == 0.0:
         raise ValidationError("cannot clip an identically zero signal")
     if not 0.0 < target_db < SDR_CAP_DB:
-        return ClipResult(x.copy(), peak, SDR_CAP_DB, False)
+        return ClipResult(x.copy(), SDR_CAP_DB, False)
     lo, hi = 0.0, peak
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        clipped = clip_signal(x, mid)
+        clipped = np.clip(x, -mid, mid)
         got = sdr(x, clipped)
         if abs(got - target_db) <= tol:
-            return ClipResult(clipped, mid, got, True)
+            return ClipResult(clipped, got, True)
         if got < target_db:
             lo = mid
         else:
             hi = mid
-    return ClipResult(x.copy(), peak, SDR_CAP_DB, False)
+    return ClipResult(x.copy(), SDR_CAP_DB, False)
 
 
 def degrade(

@@ -54,6 +54,12 @@ class TrainConfig:
             raise ConfigError(f"unknown ot_method {self.ot_method!r}")
         if self.ot_method == "sinkhorn" and self.sinkhorn_epsilon is None:
             raise ConfigError("sinkhorn ot_method requires sinkhorn_epsilon")
+        if self.coupling == "independent" and self.chunk_size is not None:
+            raise ConfigError("chunk_size only applies to chunked_ot coupling")
+        if self.coupling == "independent" and self.ot_method == "sinkhorn":
+            raise ConfigError("sinkhorn ot_method only applies to chunked_ot coupling")
+        if self.ot_method == "exact" and self.sinkhorn_epsilon is not None:
+            raise ConfigError("sinkhorn_epsilon only applies to sinkhorn ot_method")
 
 
 @dataclass
@@ -99,18 +105,13 @@ def train(
         if config.coupling == "independent":
             cpl = couple_independent(batch, couple_rng)
         else:
-            cpl = couple_chunked_ot(
-                batch,
-                couple_rng,
-                n_c=config.chunk_size,
-                method=config.ot_method,
-                epsilon=config.sinkhorn_epsilon,
-            )
+            # TrainConfig sets sinkhorn_epsilon exactly when ot_method is "sinkhorn".
+            cpl = couple_chunked_ot(batch, couple_rng, config.chunk_size, config.sinkhorn_epsilon)
         tau = tau_rng.random(config.batch_size)
         drop = None
         if task.cond_dim > 0 and config.cond_dropout > 0.0:
             drop = drop_rng.random(config.batch_size) < config.cond_dropout
-        optimizer.zero_grad()
+        model.zero_grad()
         report = cfm_loss(model, cpl, tau, drop_condition=drop)
         if not np.isfinite(report.loss):
             raise TrainingDivergedError(iteration=it, loss=report.loss)

@@ -105,7 +105,7 @@ class TestAcceptance:
         model.zero_grad()
         cfm_loss(model, coup, tau, backward=True)
         h = 1e-3
-        names = model.param_names()
+        names = list(model.params)
         worst = 0.0
         for _ in range(20):
             name = names[rng.integers(len(names))]
@@ -139,9 +139,7 @@ class TestAcceptance:
             cost_ind = _pair_cost(ind.x0, ind.x1)
             costs = {}
             for n_c in (n, n // 2, n // 4):
-                coup = couple_chunked_ot(
-                    batch, np.random.default_rng(seed), n_c=n_c, method="exact"
-                )
+                coup = couple_chunked_ot(batch, np.random.default_rng(seed), n_c=n_c)
                 costs[n_c] = _pair_cost(coup.x0, coup.x1)
             if any(costs[n_c] > cost_ind + 1e-9 for n_c in costs):
                 dominance_ok = False

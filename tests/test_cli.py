@@ -175,6 +175,34 @@ def test_train_rejects_non_finite_hyperparameter(tmp_path, capsys, override):
     assert not out.exists()
 
 
+def test_train_rejects_field_the_coupling_ignores(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "task": {"family": "two_moons"},
+        "model": {"hidden": 8, "depth": 2},
+        "train": {"iterations": 2, "batch_size": 4},
+    }))
+    out = tmp_path / "r"
+    rc = main(["train", "--config", str(cfg_path), "--out", str(out),
+               "--set", "train.chunk_size=2", "--set", "train.sinkhorn_epsilon=0.5"])
+    _assert_one_error_line(rc, capsys, "chunk_size only applies to chunked_ot coupling")
+    assert not out.exists()
+
+
+def test_train_rejects_unknown_top_level_key(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "task": {"family": "two_moons"},
+        "model": {"hidden": 8, "depth": 2},
+        "train": {"iterations": 2, "batch_size": 4},
+        "trian": {"iterations": 999},
+    }))
+    out = tmp_path / "r"
+    rc = main(["train", "--config", str(cfg_path), "--out", str(out)])
+    _assert_one_error_line(rc, capsys, "unknown config key 'trian'")
+    assert not out.exists()
+
+
 def test_train_missing_config_file(tmp_path, capsys):
     rc = main(["train", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "r")])
     _assert_one_error_line(rc, capsys, "cannot read config")

@@ -142,20 +142,8 @@ class TestCoupleChunkedOT:
 
     def test_sinkhorn_route(self):
         batch = _batch(np.random.default_rng(25), b=4, n=16)
-        cpl = couple_chunked_ot(
-            batch, np.random.default_rng(4), n_c=4, method="sinkhorn", epsilon=0.1
-        )
+        cpl = couple_chunked_ot(batch, np.random.default_rng(4), n_c=4, epsilon=0.1)
         assert cpl.x1.shape == batch.values.shape
-
-    def test_sinkhorn_requires_epsilon(self):
-        batch = _batch(np.random.default_rng(26))
-        with pytest.raises(ValidationError):
-            couple_chunked_ot(batch, np.random.default_rng(0), n_c=4, method="sinkhorn")
-
-    def test_unknown_method_rejected(self):
-        batch = _batch(np.random.default_rng(27))
-        with pytest.raises(ValidationError):
-            couple_chunked_ot(batch, np.random.default_rng(0), n_c=4, method="emd2")
 
     def test_condition_carried(self):
         batch = _batch(np.random.default_rng(28), k=2)
@@ -210,7 +198,5 @@ def test_exact_coupling_permutes_the_drawn_chunks_at_no_higher_cost(shape):
 def test_sinkhorn_coupling_matches_only_drawn_chunks(shape, epsilon):
     batch, n_c, seed = _drawn(shape)
     drawn = couple_independent(batch, np.random.default_rng(seed + 1)).x1
-    coupled = couple_chunked_ot(
-        batch, np.random.default_rng(seed + 1), n_c=n_c, method="sinkhorn", epsilon=epsilon
-    )
+    coupled = couple_chunked_ot(batch, np.random.default_rng(seed + 1), n_c=n_c, epsilon=epsilon)
     assert set(_chunk_rows(coupled.x1, n_c)) <= set(_chunk_rows(drawn, n_c))

@@ -169,7 +169,7 @@ class TestCfmLoss:
         opt = Adam(model.parameters(), lr=1e-2)
         first = cfm_loss(model, c, 0.5, backward=False).loss
         for _ in range(60):
-            opt.zero_grad()
+            model.zero_grad()
             cfm_loss(model, c, 0.5)
             opt.step()
         last = cfm_loss(model, c, 0.5, backward=False).loss

@@ -325,7 +325,7 @@ class TestVectorFieldModel:
         out = model.forward(x, tau, cond, present)
         r = out.data - u
         out.backward(2.0 * r / r.size)
-        names = model.param_names()
+        names = list(model.params)
         for k in range(12):
             name = names[int(rng.integers(len(names)))]
             p = model.params[name]
@@ -523,7 +523,6 @@ class TestAdam:
         p = Tensor(np.zeros(4), requires_grad=True)
         opt = Adam([p], lr=0.05)
         for _ in range(500):
-            opt.zero_grad()
             p.grad = 2.0 * (p.data - target)
             opt.step()
         assert np.allclose(p.data, target, atol=1e-3)
@@ -721,7 +720,7 @@ class TestCheckpoint:
             save_checkpoint(path, model, optimizer=opt, extra={"seed": seed})
             loaded, opt2, extra = load_checkpoint(path)
         assert loaded.config == model.config and extra == {"seed": seed}
-        assert loaded.param_names() == model.param_names()
+        assert list(loaded.params) == list(model.params)
         for a, b in zip(model.parameters(), loaded.parameters()):
             assert a.data.dtype == b.data.dtype and np.array_equal(a.data, b.data)
         assert (opt2 is None) == (opt is None)

@@ -284,14 +284,14 @@ class TestPlanToPairs:
         perm = np.array([2, 0, 3, 1])
         pi = np.zeros((4, 4))
         pi[np.arange(4), perm] = 0.25
-        plan = TransportPlan(pi, epsilon=0.01)
+        plan = TransportPlan(pi)
         rng = np.random.default_rng(0)
         for _ in range(20):
             assert np.array_equal(plan_to_pairs(plan, rng), perm)
 
     def test_sampling_follows_row_distribution(self):
         pi = np.array([[0.9, 0.1], [0.5, 0.5]]) / 2.0
-        plan = TransportPlan(pi, epsilon=0.1)
+        plan = TransportPlan(pi)
         rng = np.random.default_rng(21)
         draws = np.array([plan_to_pairs(plan, rng)[0] for _ in range(2000)])
         # Row 0 picks column 0 with probability 0.9.
@@ -301,20 +301,20 @@ class TestPlanToPairs:
         rng_a = np.random.default_rng(22)
         rng_b = np.random.default_rng(22)
         pi = np.full((6, 6), 1.0 / 36.0)
-        plan = TransportPlan(pi, epsilon=0.1)
+        plan = TransportPlan(pi)
         assert np.array_equal(plan_to_pairs(plan, rng_a), plan_to_pairs(plan, rng_b))
 
     def test_rejects_zero_row(self):
         pi = np.zeros((3, 3))
         pi[0, 0] = pi[1, 1] = 1.0 / 3.0
-        plan = TransportPlan(pi, epsilon=0.1)
+        plan = TransportPlan(pi)
         with pytest.raises(ValidationError):
             plan_to_pairs(plan, np.random.default_rng(0))
 
     def test_rejects_nan_row(self):
         pi = np.full((3, 3), 1.0 / 9.0)
         pi[1] = np.nan
-        plan = TransportPlan(pi, epsilon=0.1)
+        plan = TransportPlan(pi)
         with pytest.raises(ValidationError):
             plan_to_pairs(plan, np.random.default_rng(0))
 
@@ -327,7 +327,7 @@ class TestTransportCost:
         sigma = solve_exact(c)
         pi = np.zeros((5, 5))
         pi[np.arange(5), sigma.sigma] = 0.2
-        plan = TransportPlan(pi, epsilon=0.01)
+        plan = TransportPlan(pi)
         assert abs(transport_cost(c, sigma) - transport_cost(c, plan)) < 1e-12
 
     def test_size_mismatch_rejected(self):

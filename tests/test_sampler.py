@@ -198,6 +198,12 @@ class TestIntegrate:
             integrate(stub, start, schedule_uniform(4), direction=direction)
         assert stub.calls_null == 0
 
+    def test_rejects_start_that_overflows_the_model_dtype(self):
+        cfg = ModelConfig(signal_length=2, hidden=4, depth=1, dtype="float32")
+        model = VectorFieldModel(cfg, np.random.default_rng(0))
+        with pytest.raises(ValidationError, match="float32"):
+            integrate(model, np.array([[1e300, 0.0]]), schedule_uniform(2))
+
     def test_rejects_bad_inputs(self):
         model = _decay_field(-1.0)
         with pytest.raises(ShapeError):

@@ -11,7 +11,6 @@ from flowbridge.tasks import (
     CLEAN_T60,
     TaskSpec,
     apply_reverb,
-    clip_signal,
     clip_to_sdr,
     compute_c50,
     degrade,
@@ -189,13 +188,6 @@ class TestC50:
 
 
 class TestClip:
-    def test_clip_signal_bounds(self):
-        x = np.linspace(-2, 2, 100)
-        y = clip_signal(x, 0.5)
-        assert y.max() == 0.5 and y.min() == -0.5
-        with pytest.raises(ValidationError):
-            clip_signal(x, 0.0)
-
     @pytest.mark.parametrize("target", [3.0, 6.0, 12.0])
     def test_clip_to_sdr_hits_target(self, target):
         rng = np.random.default_rng(12)

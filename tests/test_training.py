@@ -28,6 +28,20 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(iterations=10, coupling="chunked_ot", chunk_size=2, ot_method="sinkhorn")
 
+    @pytest.mark.parametrize(
+        "fields, needle",
+        [
+            (dict(chunk_size=2), "chunk_size only applies"),
+            (dict(ot_method="sinkhorn", sinkhorn_epsilon=0.5), "sinkhorn ot_method only applies"),
+            (dict(coupling="chunked_ot", chunk_size=2, sinkhorn_epsilon=0.5),
+             "sinkhorn_epsilon only applies"),
+            (dict(sinkhorn_epsilon=0.5), "sinkhorn_epsilon only applies"),
+        ],
+    )
+    def test_rejects_fields_the_coupling_ignores(self, fields, needle):
+        with pytest.raises(ConfigError, match=needle):
+            TrainConfig(iterations=5, **fields)
+
     def test_bad_values(self):
         with pytest.raises(ConfigError):
             TrainConfig(iterations=0)
@@ -37,6 +51,8 @@ class TestTrainConfig:
             TrainConfig(iterations=5, cond_dropout=1.5)
         with pytest.raises(ConfigError):
             TrainConfig(iterations=5, coupling="sorted")
+        with pytest.raises(ConfigError, match="unknown ot_method"):
+            TrainConfig(iterations=5, coupling="chunked_ot", chunk_size=2, ot_method="emd2")
         for field in ("iterations", "batch_size", "chunk_size", "seed", "log_every"):
             for bad in (2.0, 2.5, True, "2"):
                 with pytest.raises(ConfigError, match=f"{field} must be an integer"):
