@@ -23,7 +23,6 @@ __all__ = [
     "curvature_profile",
     "empirical_w2",
     "sdr",
-    "DecayEstimate",
     "estimate_decay",
     "SDR_CAP_DB",
 ]
@@ -105,20 +104,13 @@ def sdr(reference: np.ndarray, estimate: np.ndarray) -> float:
     return min(10.0 * np.log10(p_ref / p_err), SDR_CAP_DB)
 
 
-@dataclass(frozen=True)
-class DecayEstimate:
-    t60: float
-    slope_db_per_s: float
-    valid: bool
-
-
-def estimate_decay(signal: np.ndarray, fs: float) -> DecayEstimate:
-    """Reverberation time from backward-integrated energy decay.
+def estimate_decay(signal: np.ndarray, fs: float) -> float:
+    """Reverberation time T60 in seconds from backward-integrated energy decay.
 
     Builds the Schroeder curve (reverse cumulative energy, in dB relative to
     the total), fits a least-squares line over the -5 dB to -35 dB span, and
-    extrapolates the time to fall 60 dB. ``valid`` is False when the span
-    holds fewer than two samples or the fitted slope is not a decay.
+    extrapolates the time to fall 60 dB. Returns NaN when the span holds
+    fewer than two samples or the fitted slope is not a decay.
     """
     signal = np.asarray(signal, dtype=np.float64)
     if signal.ndim != 1:
@@ -134,10 +126,10 @@ def estimate_decay(signal: np.ndarray, fs: float) -> DecayEstimate:
         db = 10.0 * np.log10(edc / total)
     mask = (db <= -5.0) & (db >= -35.0) & np.isfinite(db)
     if mask.sum() < 2:
-        return DecayEstimate(t60=np.nan, slope_db_per_s=np.nan, valid=False)
+        return np.nan
     t = np.nonzero(mask)[0] / fs
     y = db[mask]
-    slope, intercept = np.polyfit(t, y, 1)
+    slope, _ = np.polyfit(t, y, 1)
     if slope >= 0:
-        return DecayEstimate(t60=np.nan, slope_db_per_s=float(slope), valid=False)
-    return DecayEstimate(t60=float(-60.0 / slope), slope_db_per_s=float(slope), valid=True)
+        return np.nan
+    return float(-60.0 / slope)

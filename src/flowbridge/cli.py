@@ -198,12 +198,13 @@ def _cell(col: str, text: str) -> float:
 
 def _cmd_plot(args) -> int:
     header, rows = read_csv(args.input)
-    for col in [args.x, *args.y]:
+    group = [args.group] if args.group else []
+    for col in [args.x, *args.y, *group]:
         if col not in header:
             raise ConfigError(f"column {col!r} not in {header}")
     xi = header.index(args.x)
     fig = SvgFigure(title=Path(args.input).stem, xlabel=args.x, ylabel=",".join(args.y))
-    if args.group and args.group in header:
+    if group:
         gi = header.index(args.group)
         groups = sorted({r[gi] for r in rows})
     else:

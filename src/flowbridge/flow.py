@@ -10,21 +10,13 @@ null embedding so one network serves both guided and unguided sampling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .coupling import Coupling
 from .exceptions import ShapeError, ValidationError
 from .nn.model import VectorFieldModel
 
-__all__ = ["CfmLossReport", "interpolate", "cfm_target", "cfm_loss", "cfg_combine"]
-
-
-@dataclass(frozen=True)
-class CfmLossReport:
-    loss: float
-    per_sample: np.ndarray
+__all__ = ["interpolate", "cfm_target", "cfm_loss", "cfg_combine"]
 
 
 def _broadcast_tau(tau, batch_size: int) -> np.ndarray:
@@ -56,13 +48,13 @@ def cfm_loss(
     coupling: Coupling,
     tau,
     drop_condition: np.ndarray | None = None,
-    backward: bool = True,
-) -> CfmLossReport:
+) -> float:
     """Flow-matching MSE at the given times; gradients land on the model.
 
     drop_condition marks rows whose condition is withheld this step (trained
-    through the null branch). When backward is set, the loss gradient
-    2 * (v - u) / (B * N) is pushed through the tape onto model.params.
+    through the null branch). The loss gradient 2 * (v - u) / (B * N) is
+    pushed through the tape onto model.params; inside ``nn.autodiff.no_grad()``
+    no tape is recorded, so the call only computes the loss.
     """
     b = coupling.batch_size
     tau = _broadcast_tau(tau, b)
@@ -75,11 +67,9 @@ def cfm_loss(
         present = present & ~drop_condition
     out = model.forward(xt, tau, coupling.condition, present)
     r = out.data - target.astype(out.data.dtype)
-    per_sample = np.mean(r * r, axis=1)
     loss = float(np.mean(r * r))
-    if backward:
-        out.backward(2.0 * r / r.size)
-    return CfmLossReport(loss, per_sample)
+    out.backward(2.0 * r / r.size)
+    return loss
 
 
 def cfg_combine(v_cond: np.ndarray, v_null: np.ndarray, gamma: float) -> np.ndarray:

@@ -67,14 +67,6 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
         self._backward = None
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
     def zero_grad(self):
         self.grad = None
 
@@ -217,18 +209,17 @@ def film(h: Tensor, st: Tensor) -> Tensor:
     return _node(y, (h, st), backward)
 
 
-def concat(parts: list[Tensor], axis: int = -1) -> Tensor:
-    sizes = [p.data.shape[axis] for p in parts]
+def concat(parts: list[Tensor]) -> Tensor:
+    """The parts joined along their last axis."""
+    sizes = [p.data.shape[-1] for p in parts]
 
     def backward(g):
         offset = 0
         for p, size in zip(parts, sizes):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(offset, offset + size)
-            _accumulate(p, g[tuple(idx)])
+            _accumulate(p, g[..., offset : offset + size])
             offset += size
 
-    return _node(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), backward)
+    return _node(np.concatenate([p.data for p in parts], axis=-1), tuple(parts), backward)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:

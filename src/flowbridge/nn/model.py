@@ -143,7 +143,7 @@ class VectorFieldModel:
         else:
             real = Tensor(np.zeros((rows, 1), dtype=dt))
         emb = ad.where(present[:, None], real, self.params["null_cond"])
-        ctx_in = ad.concat([temb, emb, Tensor(present.astype(dt)[:, None])], axis=1)
+        ctx_in = ad.concat([temb, emb, Tensor(present.astype(dt)[:, None])])
         return ad.silu(ad.matmul(ctx_in, self.params["ctx_w"], self.params["ctx_b"]))
 
     def forward(
@@ -185,13 +185,7 @@ class VectorFieldModel:
             h = ad.add(h, mix(z, p[f"block{i}_w2"], p[f"block{i}_b2"]))
         return ad.reshape(mix(h, p["out_w"], p["out_b"]), (b, cfg.signal_length))
 
-    def velocity(
-        self,
-        x: np.ndarray,
-        tau,
-        condition: np.ndarray | None = None,
-        present: np.ndarray | None = None,
-    ) -> np.ndarray:
+    def velocity(self, x: np.ndarray, tau, condition: np.ndarray | None = None) -> np.ndarray:
         """Plain ndarray forward pass for sampling; records no tape."""
         with ad.no_grad():
-            return self.forward(x, tau, condition, present).data
+            return self.forward(x, tau, condition).data

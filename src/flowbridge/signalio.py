@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -38,17 +39,24 @@ def load_signals(path: str | Path) -> tuple[np.ndarray, float | None]:
         shape = tuple(meta["shape"])
     except (ValueError, KeyError, TypeError) as exc:
         raise ValidationError(f"{sidecar_path}: corrupt sidecar ({exc!r})") from exc
-    if len(shape) != 2 or not all(type(n) is int and n >= 0 for n in shape):
+    if len(shape) != 2 or not all(type(n) is int and n > 0 for n in shape):
         raise ValidationError(
-            f"{sidecar_path}: sidecar shape must be two non-negative integers, got {list(shape)}"
+            f"{sidecar_path}: sidecar shape must be two positive integers, got {list(shape)}"
         )
+    fs = meta.get("fs")
+    if fs is not None and not (type(fs) in (int, float) and math.isfinite(fs) and fs > 0):
+        raise ValidationError(
+            f"{sidecar_path}: corrupt sidecar (fs must be null or a finite number > 0, got {fs!r})"
+        )
+    if meta.get("dtype", "float32") != "float32":
+        raise ValidationError(f"{sidecar_path}: corrupt sidecar (dtype must be float32)")
     payload = path.read_bytes()
     if len(payload) != 4 * shape[0] * shape[1]:
         raise ValidationError(
             f"{path}: payload holds {len(payload)} bytes, sidecar says {shape} float32 samples"
         )
     raw = np.frombuffer(payload, dtype="<f4")
-    return raw.reshape(shape).astype(np.float32), meta.get("fs")
+    return raw.reshape(shape).astype(np.float32), fs
 
 
 def format_value(x) -> str:

@@ -30,7 +30,6 @@ __all__ = [
     "make_reverb_kernel",
     "apply_reverb",
     "compute_c50",
-    "ClipResult",
     "clip_to_sdr",
     "degrade",
     "make_training_stream",
@@ -47,6 +46,8 @@ CLEAN_T60 = 0.01
 EARLY_WINDOW_S = 0.05
 # Lowest toy-signal tone; the highest is fs/4.
 MIN_TONE_HZ = 60.0
+# clip_to_sdr stops once the SDR it reaches is this close to the target.
+CLIP_TOL_DB = 0.1
 
 
 class Degradation(NamedTuple):
@@ -195,26 +196,19 @@ def compute_c50(kernel: np.ndarray, fs: float) -> float:
     return min(10.0 * np.log10(early / late), SDR_CAP_DB)
 
 
-@dataclass(frozen=True)
-class ClipResult:
-    values: np.ndarray
-    achieved_sdr: float
-    achieved: bool
-
-
-def clip_to_sdr(x: np.ndarray, target_db: float, tol: float = 0.1) -> ClipResult:
-    """Find the clip threshold whose distortion hits the target SDR.
+def clip_to_sdr(x: np.ndarray, target_db: float) -> tuple[np.ndarray, float]:
+    """Clip x at the threshold whose distortion hits the target SDR: (values, sdr).
 
     SDR grows monotonically with the threshold (from 0 dB toward the cap), so
-    bisection over (0, max|x|] converges to within ``tol`` dB. Targets outside
-    the attainable range return the signal unclipped with achieved=False.
+    bisection over (0, max|x|] converges to within CLIP_TOL_DB (0.1 dB). A
+    target it cannot reach returns an unclipped copy of x and SDR_CAP_DB.
     """
     x = np.asarray(x, dtype=np.float64)
     peak = float(np.abs(x).max())
     if peak == 0.0:
         raise ValidationError("cannot clip an identically zero signal")
     if not 0.0 < target_db < SDR_CAP_DB:
-        return ClipResult(x.copy(), SDR_CAP_DB, False)
+        return x.copy(), SDR_CAP_DB
     lo, hi = 0.0, peak
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -222,13 +216,13 @@ def clip_to_sdr(x: np.ndarray, target_db: float, tol: float = 0.1) -> ClipResult
             break
         clipped = np.clip(x, -mid, mid)
         got = sdr(x, clipped)
-        if abs(got - target_db) <= tol:
-            return ClipResult(clipped, got, True)
+        if abs(got - target_db) <= CLIP_TOL_DB:
+            return clipped, got
         if got < target_db:
             lo = mid
         else:
             hi = mid
-    return ClipResult(x.copy(), SDR_CAP_DB, False)
+    return x.copy(), SDR_CAP_DB
 
 
 def degrade(
@@ -246,8 +240,8 @@ def degrade(
         wet = apply_reverb(x, kernel)
         return 0.9 * wet / np.abs(wet).max(), (target, compute_c50(kernel, spec.fs))
     if spec.degradation == "clip":
-        result = clip_to_sdr(x, target)
-        return result.values, (result.achieved_sdr,)
+        values, reached = clip_to_sdr(x, target)
+        return values, (reached,)
     raise ValidationError(f"{spec.family} task has no degradation")
 
 

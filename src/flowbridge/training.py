@@ -112,10 +112,10 @@ def train(
         if task.cond_dim > 0 and config.cond_dropout > 0.0:
             drop = drop_rng.random(config.batch_size) < config.cond_dropout
         model.zero_grad()
-        report = cfm_loss(model, cpl, tau, drop_condition=drop)
-        if not np.isfinite(report.loss):
-            raise TrainingDivergedError(iteration=it, loss=report.loss)
+        loss = cfm_loss(model, cpl, tau, drop_condition=drop)
+        if not np.isfinite(loss):
+            raise TrainingDivergedError(iteration=it, loss=loss)
         optimizer.step()
         if it == 1 or it % config.log_every == 0 or it == config.iterations:
-            history.append((it, report.loss))
+            history.append((it, loss))
     return TrainResult(model=model, optimizer=optimizer, history=history)

@@ -15,6 +15,7 @@ from flowbridge import ot
 from flowbridge.analysis import curvature_profile, estimate_decay
 from flowbridge.coupling import Coupling, SignalBatch, couple_chunked_ot, couple_independent
 from flowbridge.flow import cfm_loss
+from flowbridge.nn.autodiff import no_grad
 from flowbridge.nn.model import ModelConfig, VectorFieldModel
 from flowbridge.sampler import gfb_transfer, integrate, schedule_raised_cosine
 from flowbridge.tasks import (
@@ -100,10 +101,11 @@ class TestAcceptance:
         coup = Coupling(x0.astype(np.float64), x1.astype(np.float64))
 
         def loss_value() -> float:
-            return cfm_loss(model, coup, tau, backward=False).loss
+            with no_grad():
+                return cfm_loss(model, coup, tau)
 
         model.zero_grad()
-        cfm_loss(model, coup, tau, backward=True)
+        cfm_loss(model, coup, tau)
         h = 1e-3
         names = list(model.params)
         worst = 0.0
@@ -236,9 +238,8 @@ class TestAcceptance:
         for _ in range(50):
             x = gen_toy_signal(1, 128, 8000.0, rng)[0]
             for target in (3.0, 6.0, 12.0):
-                result = clip_to_sdr(x, target)
-                assert result.achieved
-                worst = max(worst, abs(result.achieved_sdr - target))
+                _, reached = clip_to_sdr(x, target)
+                worst = max(worst, abs(reached - target))
         ok = worst <= 0.1
         assert _report(9, "clip-to-SDR accuracy", ok,
                        f"worst |achieved - target| {worst:.4f} dB over 50 signals "
@@ -250,9 +251,9 @@ class TestAcceptance:
         worst_rel = 0.0
         for t60 in (0.1, 0.3, 0.6):
             kernel = make_reverb_kernel(t60, fs, duration=max(2.0 * t60, 0.25), rng=rng)
-            est = estimate_decay(kernel, fs)
-            assert est.valid
-            worst_rel = max(worst_rel, abs(est.t60 - t60) / t60)
+            t60_est = estimate_decay(kernel, fs)
+            assert np.isfinite(t60_est)
+            worst_rel = max(worst_rel, abs(t60_est - t60) / t60)
         k = make_reverb_kernel(0.3, fs, duration=0.6, rng=rng)
         c50_dev = abs(compute_c50(k, fs) - compute_c50(123.456 * k, fs))
         ok = worst_rel <= 0.10 and c50_dev <= 1e-6

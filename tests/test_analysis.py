@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from flowbridge.analysis import (
-    DecayEstimate,
     curvature,
     curvature_profile,
     empirical_w2,
@@ -172,17 +171,15 @@ class TestEstimateDecay:
         fs = 8000.0
         t = np.arange(int(1.2 * fs)) / fs
         x = np.exp(-np.log(1000.0) * t / t60)
-        est = estimate_decay(x, fs)
-        assert est.valid
-        assert abs(est.t60 - t60) / t60 < 0.02
+        assert abs(estimate_decay(x, fs) - t60) / t60 < 0.02
 
     def test_slope_matches_theory(self):
         fs = 4000.0
         t60 = 0.25
         t = np.arange(int(fs)) / fs
         x = np.exp(-np.log(1000.0) * t / t60)
-        est = estimate_decay(x, fs)
-        assert est.slope_db_per_s == pytest.approx(-60.0 / t60, rel=0.02)
+        slope_db_per_s = -60.0 / estimate_decay(x, fs)
+        assert slope_db_per_s == pytest.approx(-60.0 / t60, rel=0.02)
 
     def test_noisy_carrier_within_tolerance(self):
         rng = np.random.default_rng(8)
@@ -190,14 +187,10 @@ class TestEstimateDecay:
         t60 = 0.3
         t = np.arange(int(fs)) / fs
         x = rng.standard_normal(t.size) * np.exp(-np.log(1000.0) * t / t60)
-        est = estimate_decay(x, fs)
-        assert est.valid
-        assert abs(est.t60 - t60) / t60 < 0.1
+        assert abs(estimate_decay(x, fs) - t60) / t60 < 0.1
 
     def test_too_short_marked_invalid(self):
-        est = estimate_decay(np.array([1.0, 0.5]), 8000.0)
-        assert not est.valid
-        assert np.isnan(est.t60)
+        assert np.isnan(estimate_decay(np.array([1.0, 0.5]), 8000.0))
 
     def test_zero_signal_rejected(self):
         with pytest.raises(ValidationError):

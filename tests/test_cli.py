@@ -422,6 +422,18 @@ def test_plot_unknown_column(planar_run, tmp_path, capsys):
     _assert_one_error_line(rc, capsys, "nope")
 
 
+def test_plot_unknown_group_column(tmp_path, capsys):
+    csv_path = tmp_path / "t.csv"
+    csv_path.write_text("model,tau,mean\na,0.0,1.0\nb,0.0,2.0\n")
+    out = tmp_path / "t.svg"
+    rc = main([
+        "plot", "--input", str(csv_path), "--out", str(out),
+        "--x", "tau", "--y", "mean", "--group", "modle",
+    ])
+    _assert_one_error_line(rc, capsys, "column 'modle' not in")
+    assert not out.exists()
+
+
 def test_plot_non_numeric_column(tmp_path, capsys):
     csv_path = tmp_path / "curvature.csv"
     csv_path.write_text("model,tau,mean\nmoons,0.0,1.0\nmoons,0.5,2.0\n")

@@ -5,8 +5,9 @@ import pytest
 
 from flowbridge.coupling import Coupling
 from flowbridge.exceptions import ShapeError, ValidationError
-from flowbridge.flow import CfmLossReport, cfg_combine, cfm_loss, cfm_target, interpolate
+from flowbridge.flow import cfg_combine, cfm_loss, cfm_target, interpolate
 from flowbridge.nn import ModelConfig, VectorFieldModel
+from flowbridge.nn.autodiff import no_grad
 
 
 def _model(n=8, cond_dim=0, dtype="float64", seed=0):
@@ -84,10 +85,26 @@ class TestCfmLoss:
         rng = np.random.default_rng(6)
         c = _coupling(rng)
         model = _model()
-        report = cfm_loss(model, c, 0.5, backward=False)
+        with no_grad():
+            loss = cfm_loss(model, c, 0.5)
         u = cfm_target(c).astype(np.float64)
-        assert abs(report.loss - float(np.mean(u**2))) < 1e-12
-        assert np.allclose(report.per_sample, np.mean(u**2, axis=1))
+        assert abs(loss - float(np.mean(u**2))) < 1e-12
+
+    def test_no_grad_returns_the_taped_loss_and_leaves_no_gradients(self):
+        rng = np.random.default_rng(12)
+        c = _coupling(rng, cond_dim=2)
+        model = _model(cond_dim=2, seed=4)
+        for p in model.parameters():
+            p.data = p.data + 0.1 * rng.standard_normal(p.data.shape)
+        tau = rng.random(4)
+        drop = np.array([False, True, False, False])
+        model.zero_grad()
+        with no_grad():
+            untaped = cfm_loss(model, c, tau, drop_condition=drop)
+        assert all(p.grad is None for p in model.parameters())
+        taped = cfm_loss(model, c, tau, drop_condition=drop)
+        assert type(untaped) is float and untaped == taped
+        assert any(p.grad is not None for p in model.parameters())
 
     def test_gradients_populated(self):
         rng = np.random.default_rng(7)
@@ -113,10 +130,11 @@ class TestCfmLoss:
         idx = (0, 0)
         h = 1e-6
         orig = p.data[idx]
-        p.data[idx] = orig + h
-        up = cfm_loss(model, c, tau, backward=False).loss
-        p.data[idx] = orig - h
-        down = cfm_loss(model, c, tau, backward=False).loss
+        with no_grad():
+            p.data[idx] = orig + h
+            up = cfm_loss(model, c, tau)
+            p.data[idx] = orig - h
+            down = cfm_loss(model, c, tau)
         p.data[idx] = orig
         fd = (up - down) / (2 * h)
         assert abs(fd - p.grad[idx]) / max(abs(fd), 1e-8) < 1e-4
@@ -132,11 +150,11 @@ class TestCfmLoss:
         tau = np.array([0.4, 0.4])
         drop = np.array([False, True])
         xt = interpolate(c.x0, c.x1, tau)
-        v_drop = model.velocity(xt, tau, c.condition, np.array([True, False]))
-        report_drop = cfm_loss(model, c, tau, drop_condition=drop, backward=False)
+        with no_grad():
+            v_drop = model.forward(xt, tau, c.condition, np.array([True, False])).data
+            loss_drop = cfm_loss(model, c, tau, drop_condition=drop)
         u = cfm_target(c).astype(np.float64)
-        want = np.mean((v_drop - u) ** 2, axis=1)
-        assert np.allclose(report_drop.per_sample, want, atol=1e-12)
+        assert abs(loss_drop - float(np.mean((v_drop - u) ** 2))) <= 1e-12
 
     def test_presence_defaults_to_the_condition(self):
         # Without dropout every row of a conditioned coupling is present and
@@ -148,10 +166,11 @@ class TestCfmLoss:
         tau = np.array([0.2, 0.7])
         for cond_dim in (2, 0):
             c = _coupling(rng, b=2, cond_dim=cond_dim)
-            v = model.velocity(interpolate(c.x0, c.x1, tau), tau, c.condition)
-            want = np.mean((v - cfm_target(c).astype(np.float64)) ** 2, axis=1)
-            report = cfm_loss(model, c, tau, backward=False)
-            assert np.array_equal(report.per_sample, want)
+            present = np.full(2, c.condition is not None)
+            with no_grad():
+                v = model.forward(interpolate(c.x0, c.x1, tau), tau, c.condition, present).data
+                loss = cfm_loss(model, c, tau)
+            assert loss == float(np.mean((v - cfm_target(c).astype(np.float64)) ** 2))
 
     def test_drop_mask_shape_checked(self):
         rng = np.random.default_rng(10)
@@ -167,12 +186,14 @@ class TestCfmLoss:
         c = _coupling(rng, b=8, n=8)
         model = _model(dtype="float32", seed=3)
         opt = Adam(model.parameters(), lr=1e-2)
-        first = cfm_loss(model, c, 0.5, backward=False).loss
+        with no_grad():
+            first = cfm_loss(model, c, 0.5)
         for _ in range(60):
             model.zero_grad()
             cfm_loss(model, c, 0.5)
             opt.step()
-        last = cfm_loss(model, c, 0.5, backward=False).loss
+        with no_grad():
+            last = cfm_loss(model, c, 0.5)
         assert last < 0.5 * first
 
 

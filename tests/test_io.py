@@ -88,8 +88,17 @@ class TestSignalFiles:
 
     @pytest.mark.parametrize(
         "sidecar",
-        ['{"shape": [2, 8', '{"fs": 8000.0}', '[2, 8]', '{"shape": "2x8"}', '{"shape": [-2, -8]}'],
-        ids=["truncated_json", "no_shape", "not_object", "shape_string", "negative_dims"],
+        [
+            '{"shape": [2, 8', '{"fs": 8000.0}', '[2, 8]', '{"shape": "2x8"}',
+            '{"shape": [-2, -8]}', '{"shape": [0, 8]}',
+            '{"shape": [2, 8], "fs": "abc"}', '{"shape": [2, 8], "fs": -5.0}',
+            '{"shape": [2, 8], "fs": true}', '{"shape": [2, 8], "fs": NaN}',
+            '{"shape": [2, 8], "dtype": "float64"}',
+        ],
+        ids=[
+            "truncated_json", "no_shape", "not_object", "shape_string", "negative_dims",
+            "zero_rows", "fs_string", "fs_negative", "fs_bool", "fs_nan", "dtype_float64",
+        ],
     )
     def test_corrupt_sidecar(self, tmp_path, sidecar):
         p = tmp_path / "sig.fbs"

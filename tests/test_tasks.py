@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from flowbridge.analysis import estimate_decay, sdr
+from flowbridge.analysis import SDR_CAP_DB, estimate_decay, sdr
 from flowbridge.exceptions import ConfigError, ValidationError
 from flowbridge.tasks import (
     CLEAN_T60,
@@ -142,9 +142,7 @@ class TestReverb:
     def test_t60_recoverable_from_kernel(self, t60):
         rng = np.random.default_rng(8)
         k = make_reverb_kernel(t60, 8000.0, 1.2, rng)
-        est = estimate_decay(k, 8000.0)
-        assert est.valid
-        assert abs(est.t60 - t60) / t60 < 0.1
+        assert abs(estimate_decay(k, 8000.0) - t60) / t60 < 0.1
 
     def test_apply_reverb_length_and_identity(self):
         rng = np.random.default_rng(9)
@@ -192,17 +190,16 @@ class TestClip:
     def test_clip_to_sdr_hits_target(self, target):
         rng = np.random.default_rng(12)
         x = gen_toy_signal(1, 2048, 8000.0, rng)[0].astype(np.float64)
-        result = clip_to_sdr(x, target)
-        assert result.achieved
-        assert abs(result.achieved_sdr - target) <= 0.1
-        assert abs(sdr(x, result.values) - target) <= 0.1
+        values, reached = clip_to_sdr(x, target)
+        assert abs(reached - target) <= 0.1
+        assert abs(sdr(x, values) - target) <= 0.1
 
     def test_unattainable_target_flagged(self):
         rng = np.random.default_rng(13)
         x = gen_toy_signal(1, 1024, 8000.0, rng)[0].astype(np.float64)
-        result = clip_to_sdr(x, -5.0)
-        assert not result.achieved
-        assert np.array_equal(result.values, x)
+        values, reached = clip_to_sdr(x, -5.0)
+        assert reached == SDR_CAP_DB
+        assert np.array_equal(values, x)
 
     def test_zero_signal_rejected(self):
         with pytest.raises(ValidationError):
