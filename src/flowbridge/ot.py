@@ -35,8 +35,8 @@ class CostMatrix:
 
     def __post_init__(self):
         v = self.values
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise ShapeError(f"cost matrix must be square, got shape {v.shape}")
+        if v.ndim != 2 or v.shape[0] != v.shape[1] or v.size == 0:
+            raise ShapeError(f"cost matrix must be square and non-empty, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ValidationError("cost matrix has non-finite entries")
         if np.any(v < 0):
@@ -111,10 +111,13 @@ def cost_matrix(a: np.ndarray, b: np.ndarray) -> CostMatrix:
 def solve_exact(c: CostMatrix) -> Assignment:
     """Minimum-cost assignment by shortest augmenting paths (Jonker-Volgenant).
 
-    With uniform marginals the EMD problem reduces to an assignment problem;
-    ties resolve to the lowest column index, so the result is deterministic.
+    With uniform marginals EMD is an assignment problem, solved here on C
+    minus its column minima: each assignment uses every column once, so all
+    costs shift alike, the optimum stays, and the solver starts from feasible
+    column duals. Ties go to the lowest column index of the reduced matrix;
+    deterministic: same input, same permutation.
     """
-    _, cols = linear_sum_assignment(c.values)
+    _, cols = linear_sum_assignment(c.values - c.values.min(axis=0))
     return Assignment(cols)
 
 

@@ -131,6 +131,10 @@ class TestEmpiricalW2:
         b = rng.standard_normal((400, 2)) + np.array([3.0, 0.0])
         assert abs(empirical_w2(a, b) - 3.0) < 0.3
 
+    def test_rejects_empty_sets(self):
+        with pytest.raises(ShapeError):
+            empirical_w2(np.zeros((0, 2)), np.zeros((0, 2)))
+
 
 class TestSdr:
     def test_known_ratio(self):

@@ -1,5 +1,7 @@
 """Tests for batch chunking and data/noise couplings."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from flowbridge.coupling import (
     unchunk,
 )
 from flowbridge.exceptions import ShapeError, ValidationError
+from flowbridge.tasks import TaskSpec, make_training_stream
 
 
 def _batch(rng, b=4, n=16, k=None):
@@ -149,6 +152,31 @@ class TestCoupleChunkedOT:
         batch = _batch(np.random.default_rng(28), k=2)
         cpl = couple_chunked_ot(batch, np.random.default_rng(0), n_c=4)
         assert cpl.condition is batch.condition
+
+    def test_eight_gaussian_pairings_golden_digest(self, monkeypatch):
+        """The first 20 pairings of the seed-11 8-Gaussian training are bit for
+        bit the ones the exact solver has always made."""
+        sigmas = []
+        solve = ot.solve_exact
+
+        def recording_solve(c):
+            a = solve(c)
+            sigmas.append(a.sigma)
+            return a
+
+        monkeypatch.setattr(ot, "solve_exact", recording_solve)
+        # The data and coupling child streams of train(seed=11).
+        _, data_rng, couple_rng, _, _ = map(
+            np.random.default_rng, np.random.SeedSequence(11).spawn(5)
+        )
+        stream = make_training_stream(TaskSpec("eight_gaussians"), 256, data_rng)
+        for _ in range(20):
+            couple_chunked_ot(next(stream), couple_rng, n_c=2)
+        h = hashlib.sha256()
+        for sigma in sigmas:
+            h.update(sigma.astype(np.int64).tobytes())
+        assert len(sigmas) == 20
+        assert h.hexdigest() == "e8bb2d5443597b879528f26c55a73251f2596b7711a50093e3f7b12932bb0815"
 
 
 class TestCoupling:

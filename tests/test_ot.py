@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from flowbridge.exceptions import ShapeError, ValidationError
 from flowbridge.ot import (
@@ -19,6 +20,7 @@ from flowbridge.ot import (
     solve_sinkhorn,
     transport_cost,
 )
+from flowbridge.tasks import gen_eight_gaussians
 
 
 def _brute_force_cost(c: np.ndarray) -> float:
@@ -33,6 +35,11 @@ def _brute_force_cost(c: np.ndarray) -> float:
 
 def _random_points(rng, m, d):
     return rng.standard_normal((m, d)), rng.standard_normal((m, d))
+
+
+def _reference_assignment(c: CostMatrix) -> np.ndarray:
+    """The assignment solver run on C itself, without the column reduction."""
+    return linear_sum_assignment(c.values)[1]
 
 
 def _reference_sinkhorn(c: CostMatrix, epsilon: float, max_iter: int = 1000, tol: float = 1e-6):
@@ -115,6 +122,12 @@ class TestCostMatrix:
     def test_rejects_non_square_values(self):
         with pytest.raises(ShapeError):
             CostMatrix(np.zeros((3, 4)))
+
+    def test_rejects_empty(self):
+        with pytest.raises(ShapeError):
+            CostMatrix(np.zeros((0, 0)))
+        with pytest.raises(ShapeError):
+            cost_matrix(np.zeros((0, 2)), np.zeros((0, 2)))
 
 
 class TestSolveExact:
@@ -276,6 +289,19 @@ def test_exact_is_a_bijection_no_costlier_than_independent(points):
     assert np.array_equal(np.sort(sigma), np.arange(c.m))
     # The identity pairing is the independent coupling of the same noise.
     assert transport_cost(c, sigma) <= transport_cost(c, np.arange(c.m)) + 1e-9
+
+
+# The chunk pool of the 8-Gaussian training: clustered data against noise.
+_clustered_sets = st.integers(0, 2**32 - 1).map(np.random.default_rng).map(
+    lambda rng: (gen_eight_gaussians(256, rng), rng.standard_normal((256, 2), dtype=np.float32))
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(points=st.one_of(_point_sets, _clustered_sets))
+def test_exact_matches_the_unreduced_solve(points):
+    c = cost_matrix(*points)
+    assert np.array_equal(solve_exact(c).sigma, _reference_assignment(c))
 
 
 class TestPlanToPairs:
