@@ -1,4 +1,4 @@
-"""Command-line interface: train, curvature, bridge, eval, plot."""
+"""Command-line interface: train, bridge, eval, plot."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import curvature_profile, empirical_w2, sdr
+from .analysis import curvature_profile, empirical_w2
 from .config import apply_overrides, build_config, check_int_fields, dump_config, load_config
 from .exceptions import CheckpointError, ConfigError, FlowbridgeError, ValidationError
 from .nn.checkpoint import load_checkpoint, save_checkpoint
@@ -18,7 +18,7 @@ from .sampler import SCHEDULES, gfb_transfer, integrate
 from .signalio import load_signals, read_csv, save_signals, write_csv
 from .svgplot import SvgFigure
 from .tasks import TaskSpec, make_training_stream
-from .training import TrainConfig, train
+from .training import TrainConfig, check_model_fits_task, train
 
 __all__ = ["main"]
 
@@ -42,9 +42,9 @@ def _cmd_train(args) -> int:
         train_raw = {"seed": cfg.get("seed", 0), **train_raw}
     train_cfg = build_config(TrainConfig, train_raw, "train")
 
+    result = train(model_cfg, task, train_cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    result = train(model_cfg, task, train_cfg)
     extra = {"task": asdict(task), "train": asdict(train_cfg)}
     ckpt = out / "model.fbc"
     save_checkpoint(ckpt, result.model, optimizer=result.optimizer, extra=extra)
@@ -55,29 +55,6 @@ def _cmd_train(args) -> int:
         f"({train_cfg.coupling}); final loss {result.final_loss:.6g}"
     )
     print(f"checkpoint: {ckpt}")
-    return 0
-
-
-def _cmd_curvature(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    fig = SvgFigure(title="trajectory curvature", xlabel="flow time", ylabel="curvature")
-    schedule = SCHEDULES[args.schedule](args.steps)
-    for ckpt_path in args.checkpoint:
-        model, _, extra = load_checkpoint(ckpt_path)
-        label = Path(ckpt_path).stem if len(args.checkpoint) == 1 else Path(ckpt_path).parent.name
-        rng = np.random.default_rng(args.seed)
-        z = rng.standard_normal((args.samples, model.config.signal_length))
-        traj = integrate(model, z, schedule, direction="backward", method=args.method)
-        prof = curvature_profile([traj])
-        for tau, mean, p25, p75 in zip(prof.taus, prof.mean, prof.p25, prof.p75):
-            rows.append((label, tau, mean, p25, p75))
-        fig.band(prof.taus, prof.p25, prof.p75)
-        fig.line(prof.taus, prof.mean, label=label)
-        print(f"{label}: time-averaged mean curvature {prof.time_average:.6g}")
-    write_csv(out / "curvature.csv", ["model", "tau", "mean", "p25", "p75"], rows)
-    fig.save(out / "curvature.svg")
     return 0
 
 
@@ -135,35 +112,14 @@ def _cmd_bridge(args) -> int:
     return 0
 
 
-def _eval(model, task, gamma, schedule, method, samples, rng) -> tuple[str, float]:
-    """Score one guidance weight against a reference batch from the task's own stream.
-
-    Planar tasks decode Gaussian noise, drawn before the batch, and report the
-    W2 distance to it; signal tasks bridge the batch under its own conditions
-    and report the mean round-trip SDR.
-    """
-    if task.family == "toy_signal":
-        batch = next(make_training_stream(task, samples, rng))
-        result = gfb_transfer(
-            model, batch.values, schedule, batch.condition, gamma=gamma, method=method
-        )
-        scores = [sdr(x, y) for x, y in zip(batch.values, result.output)]
-        return "round_trip_sdr", float(np.mean(scores))
-    z = rng.standard_normal((samples, model.config.signal_length))
-    batch = next(make_training_stream(task, samples, rng))
-    traj = integrate(
-        model, z, schedule, direction="backward", method=method,
-        condition=batch.condition, gamma=gamma,
-    )
-    return "w2", empirical_w2(traj.final, batch.values)
-
-
 def _cmd_eval(args) -> int:
+    """Decode seeded noise per checkpoint and gamma; score it by W2 and curvature."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     gammas = _parse_floats("--gammas", args.gammas)
     schedule = SCHEDULES[args.schedule](args.steps)
-    rows = []
+    rows, curv_rows = [], []
+    fig = SvgFigure(title="trajectory curvature", xlabel="flow time", ylabel="curvature")
     for ckpt_path in args.checkpoint:
         model, _, extra = load_checkpoint(ckpt_path)
         task_raw, train_raw = extra.get("task"), extra.get("train", {})
@@ -171,21 +127,36 @@ def _cmd_eval(args) -> int:
             raise CheckpointError(f"{ckpt_path}: checkpoint train metadata must be an object")
         try:
             task = build_config(TaskSpec, task_raw, "task")
+            check_model_fits_task(model.config, task)
         except ConfigError as exc:
             raise CheckpointError(f"{ckpt_path}: invalid task metadata ({exc})") from exc
         chunk = train_raw.get("chunk_size")
         coupling = train_raw.get("coupling", "")
         label = Path(ckpt_path).parent.name
         for gamma in gammas:
+            # The noise comes first, then the reference batch whose conditions decode it.
             rng = np.random.default_rng(args.seed)
-            metric, value = _eval(model, task, gamma, schedule, args.method, args.samples, rng)
-            rows.append((label, coupling, "" if chunk is None else chunk, gamma, metric, value))
-            print(f"{label} gamma={gamma:g}: {metric}={value:.6g}")
+            z = rng.standard_normal((args.samples, model.config.signal_length))
+            batch = next(make_training_stream(task, args.samples, rng))
+            traj = integrate(
+                model, z, schedule, direction="backward", method=args.method,
+                condition=batch.condition, gamma=gamma,
+            )
+            w2 = empirical_w2(traj.final, batch.values)
+            prof = curvature_profile([traj])
+            rows.append((label, coupling, "" if chunk is None else chunk, gamma, "w2", w2))
+            for tau, mean, p25, p75 in zip(prof.taus, prof.mean, prof.p25, prof.p75):
+                curv_rows.append((label, gamma, tau, mean, p25, p75))
+            fig.band(prof.taus, prof.p25, prof.p75)
+            fig.line(prof.taus, prof.mean, label=f"{label} gamma={gamma:g}")
+            print(f"{label} gamma={gamma:g}: w2={w2:.6g} curvature={prof.time_average:.6g}")
     write_csv(
         out / "eval.csv",
         ["model", "coupling", "chunk_size", "gamma", "metric", "value"],
         rows,
     )
+    write_csv(out / "curvature.csv", ["model", "gamma", "tau", "mean", "p25", "p75"], curv_rows)
+    fig.save(out / "curvature.svg")
     return 0
 
 
@@ -242,14 +213,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", action="append", metavar="KEY=VALUE")
     p.set_defaults(fn=_cmd_train)
 
-    p = sub.add_parser("curvature", help="measure sampling-trajectory curvature")
-    p.add_argument("--checkpoint", action="append", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--samples", type=int, default=64)
-    _add_sampling_args(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=_cmd_curvature)
-
     p = sub.add_parser("bridge", help="encode signals and decode them under a condition")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True)
@@ -259,7 +222,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--condition", default=None, help="comma-separated descriptor values")
     p.set_defaults(fn=_cmd_bridge)
 
-    p = sub.add_parser("eval", help="score checkpoints over a guidance sweep")
+    p = sub.add_parser("eval", help="score decoded noise by W2 and curvature over a guidance sweep")
     p.add_argument("--checkpoint", action="append", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--gammas", default="0,0.5,1,1.5,2")

@@ -21,7 +21,7 @@ from .nn.adam import Adam
 from .nn.model import ModelConfig, VectorFieldModel
 from .tasks import TaskSpec, make_training_stream
 
-__all__ = ["TrainConfig", "TrainResult", "train"]
+__all__ = ["TrainConfig", "TrainResult", "check_model_fits_task", "train"]
 
 
 @dataclass(frozen=True)
@@ -73,6 +73,16 @@ class TrainResult:
         return self.history[-1][1]
 
 
+def check_model_fits_task(model_config: ModelConfig, task: TaskSpec) -> None:
+    """Raise ConfigError unless the model's signal length and condition width fit the task."""
+    if model_config.signal_length != task.n:
+        raise ConfigError(f"model signal_length {model_config.signal_length} != task n {task.n}")
+    if model_config.cond_dim != task.cond_dim:
+        raise ConfigError(
+            f"model cond_dim {model_config.cond_dim} != task descriptor count {task.cond_dim}"
+        )
+
+
 def train(
     model_config: ModelConfig,
     task: TaskSpec,
@@ -86,12 +96,9 @@ def train(
     one. A non-finite loss aborts with TrainingDivergedError naming the
     iteration.
     """
-    if model_config.signal_length != task.n:
-        raise ConfigError(f"model signal_length {model_config.signal_length} != task n {task.n}")
-    if model_config.cond_dim != task.cond_dim:
-        raise ConfigError(
-            f"model cond_dim {model_config.cond_dim} != task descriptor count {task.cond_dim}"
-        )
+    check_model_fits_task(model_config, task)
+    if config.chunk_size is not None and task.n % config.chunk_size != 0:
+        raise ConfigError(f"chunk_size {config.chunk_size} does not divide task n {task.n}")
     init_rng, data_rng, couple_rng, tau_rng, drop_rng = (
         np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(5)
     )

@@ -6,12 +6,12 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from flowbridge.analysis import empirical_w2
+from flowbridge.analysis import curvature_profile, empirical_w2
 from flowbridge.cli import main
 from flowbridge.nn import load_checkpoint, save_checkpoint
 from flowbridge.sampler import SCHEDULES, integrate
 from flowbridge.signalio import load_signals, read_csv, save_signals
-from flowbridge.tasks import gen_two_moons
+from flowbridge.tasks import TaskSpec, gen_two_moons, make_training_stream
 
 
 def _assert_one_error_line(rc, capsys, needle):
@@ -203,23 +203,47 @@ def test_train_rejects_unknown_top_level_key(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_train_rejects_chunk_size_not_dividing_n(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "task": {"family": "two_moons"},
+        "model": {"hidden": 8, "depth": 2},
+        "train": {"iterations": 2, "batch_size": 4},
+    }))
+    out = tmp_path / "r"
+    rc = main(["train", "--config", str(cfg_path), "--out", str(out),
+               "--set", "train.coupling=chunked_ot", "--set", "train.chunk_size=3"])
+    _assert_one_error_line(rc, capsys, "chunk_size 3 does not divide task n 2")
+    assert not out.exists()
+
+
 def test_train_missing_config_file(tmp_path, capsys):
     rc = main(["train", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "r")])
     _assert_one_error_line(rc, capsys, "cannot read config")
 
 
-def test_curvature_command(planar_run, tmp_path, capsys):
+def test_eval_writes_curvature_of_the_decode(planar_run, tmp_path, capsys):
+    # The gamma=0 curvature rows are the profile of decoding the seeded noise
+    # through the null branch.
     out = tmp_path / "curv"
     rc = main([
-        "curvature", "--checkpoint", str(planar_run / "model.fbc"),
-        "--out", str(out), "--samples", "6", "--steps", "5",
+        "eval", "--checkpoint", str(planar_run / "model.fbc"),
+        "--out", str(out), "--gammas", "0,1", "--samples", "6", "--steps", "5", "--seed", "2",
     ])
     assert rc == 0
     header, rows = read_csv(out / "curvature.csv")
-    assert header == ["model", "tau", "mean", "p25", "p75"]
-    assert len(rows) == 5
+    assert header == ["model", "gamma", "tau", "mean", "p25", "p75"]
+    assert len(rows) == 10
+    model, _, _ = load_checkpoint(planar_run / "model.fbc")
+    z = np.random.default_rng(2).standard_normal((6, 2))
+    traj = integrate(model, z, SCHEDULES["raised_cosine"](5), direction="backward")
+    prof = curvature_profile([traj])
+    expected = np.stack([prof.taus, prof.mean, prof.p25, prof.p75], axis=1)
+    got = np.array([[float(v) for v in r[2:]] for r in rows if float(r[1]) == 0.0])
+    assert {r[0] for r in rows} == {planar_run.name}
+    assert np.array_equal(got, expected)
     ET.fromstring((out / "curvature.svg").read_text())
-    assert "time-averaged mean curvature" in capsys.readouterr().out
+    assert "curvature=" in capsys.readouterr().out
 
 
 def test_bridge_command(planar_run, tmp_path):
@@ -342,14 +366,49 @@ def test_eval_reference_uses_trained_seed_noise(tmp_path):
     assert float(rows[0][5]) == empirical_w2(final.astype(np.float64), ref.astype(np.float64))
 
 
+def test_eval_scores_signal_tasks_by_w2(tmp_path):
+    # A clip model is scored like a planar one: W2 of noise decoded under the
+    # reference batch's conditions. Two iterations of training cannot take
+    # the decode measurably closer to the data than the noise itself.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "task": {"family": "toy_signal", "n": 16, "degradation": "clip"},
+        "model": {"hidden": 8, "depth": 2},
+        "train": {"iterations": 2, "batch_size": 4},
+    }))
+    run = tmp_path / "clip"
+    assert main(["train", "--config", str(cfg_path), "--out", str(run)]) == 0
+    rc = main([
+        "eval", "--checkpoint", str(run / "model.fbc"), "--out", str(tmp_path / "ev"),
+        "--gammas", "1", "--samples", "32", "--steps", "4",
+    ])
+    assert rc == 0
+    _, rows = read_csv(tmp_path / "ev" / "eval.csv")
+    assert [r[4] for r in rows] == ["w2"]
+    model, _, extra = load_checkpoint(run / "model.fbc")
+    rng = np.random.default_rng(0)
+    z = rng.standard_normal((32, 16))
+    batch = next(make_training_stream(TaskSpec(**extra["task"]), 32, rng))
+    final = integrate(
+        model, z, SCHEDULES["raised_cosine"](4), direction="backward",
+        condition=batch.condition, gamma=1.0,
+    ).final
+    w2 = float(rows[0][5])
+    assert w2 == empirical_w2(final, batch.values)
+    assert w2 >= 0.99 * empirical_w2(z, batch.values)
+
+
 @pytest.mark.parametrize(
     "extra",
     [
         {"task": {"n": 2}},
         {"task": "two_moons"},
         {"task": {"family": "two_moons"}, "train": 5},
+        {"task": {"family": "cond_ring"}},
+        {"task": {"family": "toy_signal", "n": 16, "degradation": "clip"}},
     ],
-    ids=["no_family", "task_not_object", "train_not_object"],
+    ids=["no_family", "task_not_object", "train_not_object", "cond_dim_mismatch",
+         "signal_length_mismatch"],
 )
 def test_eval_rejects_malformed_task_metadata(planar_run, tmp_path, capsys, extra):
     model, _, _ = load_checkpoint(planar_run / "model.fbc")
@@ -372,14 +431,11 @@ def test_eval_rejects_non_numeric_gammas(planar_run, tmp_path, capsys, gammas):
 @pytest.mark.parametrize(
     "argv,needle",
     [
-        (["curvature", "--samples", "0"], "samples must be >= 1"),
-        (["curvature", "--samples", "-1"], "samples must be >= 1"),
-        (["curvature", "--seed", "-1"], "seed must be >= 0"),
+        (["eval", "--samples", "0"], "samples must be >= 1"),
         (["eval", "--samples", "-1"], "samples must be >= 1"),
         (["eval", "--seed", "-1"], "seed must be >= 0"),
     ],
-    ids=["curvature_samples_0", "curvature_samples_neg", "curvature_seed_neg",
-         "eval_samples_neg", "eval_seed_neg"],
+    ids=["eval_samples_0", "eval_samples_neg", "eval_seed_neg"],
 )
 def test_rejects_bad_count_or_seed(planar_run, tmp_path, capsys, argv, needle):
     out = tmp_path / "o"

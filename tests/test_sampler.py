@@ -50,7 +50,7 @@ class TestSchedules:
             return
         # The CLI takes its --schedule choices from the table.
         with pytest.raises(SystemExit) as exc:
-            main(["curvature", "--checkpoint", str(tmp_path / "m.fbc"), "--out", str(tmp_path),
+            main(["eval", "--checkpoint", str(tmp_path / "m.fbc"), "--out", str(tmp_path),
                   "--schedule", name, "--steps", str(steps)])
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
