@@ -47,7 +47,7 @@ def _cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     extra = {"task": asdict(task), "train": asdict(train_cfg)}
     ckpt = out / "model.fbc"
-    save_checkpoint(ckpt, result.model, optimizer=result.optimizer, extra=extra)
+    save_checkpoint(ckpt, result.model, extra=extra)
     write_csv(out / "loss.csv", ["iteration", "loss"], result.history)
     dump_config(cfg, out / "config.json")
     print(
@@ -87,7 +87,10 @@ def _parse_condition(text: str | None, batch: int, cond_dim: int):
 
 
 def _cmd_bridge(args) -> int:
-    model, _, _ = load_checkpoint(args.checkpoint)
+    gamma = 1.0 if args.gamma is None else _parse_float("--gamma", args.gamma)
+    if args.gamma is not None and args.condition is None:
+        raise ConfigError("--gamma needs --condition: without one only the null branch decodes")
+    model, _ = load_checkpoint(args.checkpoint)
     values, fs = load_signals(args.input)
     if values.shape[1] != model.config.signal_length:
         raise ValidationError(
@@ -95,7 +98,6 @@ def _cmd_bridge(args) -> int:
             f"{model.config.signal_length}"
         )
     condition = _parse_condition(args.condition, values.shape[0], model.config.cond_dim)
-    gamma = _parse_float("--gamma", args.gamma)
     schedule = SCHEDULES[args.schedule](args.steps)
     result = gfb_transfer(model, values, schedule, condition, gamma=gamma, method=args.method)
     out = Path(args.out)
@@ -114,14 +116,12 @@ def _cmd_bridge(args) -> int:
 
 def _cmd_eval(args) -> int:
     """Decode seeded noise per checkpoint and gamma; score it by W2 and curvature."""
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     gammas = _parse_floats("--gammas", args.gammas)
     schedule = SCHEDULES[args.schedule](args.steps)
     rows, curv_rows = [], []
     fig = SvgFigure(title="trajectory curvature", xlabel="flow time", ylabel="curvature")
     for ckpt_path in args.checkpoint:
-        model, _, extra = load_checkpoint(ckpt_path)
+        model, extra = load_checkpoint(ckpt_path)
         task_raw, train_raw = extra.get("task"), extra.get("train", {})
         if not isinstance(train_raw, dict):
             raise CheckpointError(f"{ckpt_path}: checkpoint train metadata must be an object")
@@ -133,23 +133,28 @@ def _cmd_eval(args) -> int:
         chunk = train_raw.get("chunk_size")
         coupling = train_raw.get("coupling", "")
         label = Path(ckpt_path).parent.name
+        # The noise comes first, then the reference batch whose conditions decode it.
+        rng = np.random.default_rng(args.seed)
+        z = rng.standard_normal((args.samples, model.config.signal_length))
+        batch = next(make_training_stream(task, args.samples, rng))
+        traj = None
         for gamma in gammas:
-            # The noise comes first, then the reference batch whose conditions decode it.
-            rng = np.random.default_rng(args.seed)
-            z = rng.standard_normal((args.samples, model.config.signal_length))
-            batch = next(make_training_stream(task, args.samples, rng))
-            traj = integrate(
-                model, z, schedule, direction="backward", method=args.method,
-                condition=batch.condition, gamma=gamma,
-            )
-            w2 = empirical_w2(traj.final, batch.values)
-            prof = curvature_profile([traj])
+            # integrate ignores gamma without a condition, so one decode serves every gamma.
+            if traj is None or batch.condition is not None:
+                traj = integrate(
+                    model, z, schedule, direction="backward", method=args.method,
+                    condition=batch.condition, gamma=gamma,
+                )
+                w2 = empirical_w2(traj.final, batch.values)
+                prof = curvature_profile([traj])
             rows.append((label, coupling, "" if chunk is None else chunk, gamma, "w2", w2))
             for tau, mean, p25, p75 in zip(prof.taus, prof.mean, prof.p25, prof.p75):
                 curv_rows.append((label, gamma, tau, mean, p25, p75))
             fig.band(prof.taus, prof.p25, prof.p75)
             fig.line(prof.taus, prof.mean, label=f"{label} gamma={gamma:g}")
             print(f"{label} gamma={gamma:g}: w2={w2:.6g} curvature={prof.time_average:.6g}")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     write_csv(
         out / "eval.csv",
         ["model", "coupling", "chunk_size", "gamma", "metric", "value"],
@@ -217,7 +222,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--gamma", default="1.0")
+    p.add_argument("--gamma", default=None, help="guidance weight with --condition (default 1)")
     _add_sampling_args(p)
     p.add_argument("--condition", default=None, help="comma-separated descriptor values")
     p.set_defaults(fn=_cmd_bridge)

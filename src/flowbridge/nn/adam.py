@@ -8,21 +8,15 @@ from .autodiff import Tensor
 
 __all__ = ["Adam"]
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 class Adam:
-    def __init__(
-        self,
-        params: list[Tensor],
-        lr: float = 1e-4,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, params: list[Tensor], lr: float):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = [np.zeros_like(p.data) for p in params]
         self.v = [np.zeros_like(p.data) for p in params]
@@ -31,15 +25,15 @@ class Adam:
         """Apply one update from the gradients currently on the parameters."""
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1**t
-        bc2 = 1.0 - self.beta2**t
+        bc1 = 1.0 - BETA1**t
+        bc2 = 1.0 - BETA2**t
         for p, m, v in zip(self.params, self.m, self.v):
             if p.grad is None:
                 continue
             g = p.grad
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
+            update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
             p.data -= (self.lr * update).astype(p.data.dtype, copy=False)

@@ -1,10 +1,9 @@
-"""Binary checkpoint format for models and optimizer state.
+"""Binary checkpoint format for models.
 
 Layout: 8-byte magic, uint32 LE format version, uint32 LE header length, a
-UTF-8 JSON header (model config, parameter manifest, optimizer metadata,
-caller extras), then the raw little-endian parameter payload in manifest
-order, followed by the Adam first and second moments when optimizer state is
-saved. Floats round-trip bit-exactly.
+UTF-8 JSON header (model config, parameter manifest, caller extras), then the
+raw little-endian parameter payload in manifest order. Floats round-trip
+bit-exactly.
 """
 
 from __future__ import annotations
@@ -18,52 +17,29 @@ import numpy as np
 
 from ..config import build_config
 from ..exceptions import CheckpointError, ConfigError
-from .adam import Adam
 from .model import ModelConfig, VectorFieldModel
 
 __all__ = ["save_checkpoint", "load_checkpoint"]
 
 MAGIC = b"FBRIDGE1"
-VERSION = 1
+VERSION = 2
 
 _WIRE = {"float32": "<f4", "float64": "<f8"}
 
 
-def save_checkpoint(
-    path: str | Path,
-    model: VectorFieldModel,
-    optimizer: Adam | None = None,
-    extra: dict | None = None,
-) -> None:
+def save_checkpoint(path: str | Path, model: VectorFieldModel, extra: dict | None = None) -> None:
     wire = _WIRE[model.config.dtype]
     manifest = [[name, list(p.data.shape)] for name, p in model.params.items()]
-    header = {
-        "config": asdict(model.config),
-        "extra": extra or {},
-        "optimizer": None
-        if optimizer is None
-        else {
-            "beta1": optimizer.beta1,
-            "beta2": optimizer.beta2,
-            "eps": optimizer.eps,
-            "lr": optimizer.lr,
-            "step": optimizer.step_count,
-        },
-        "params": manifest,
-    }
+    header = {"config": asdict(model.config), "extra": extra or {}, "params": manifest}
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     chunks = [MAGIC, struct.pack("<II", VERSION, len(blob)), blob]
     for p in model.params.values():
         chunks.append(np.ascontiguousarray(p.data, dtype=wire).tobytes())
-    if optimizer is not None:
-        for mom in (optimizer.m, optimizer.v):
-            for arr in mom:
-                chunks.append(np.ascontiguousarray(arr, dtype=wire).tobytes())
     Path(path).write_bytes(b"".join(chunks))
 
 
-def load_checkpoint(path: str | Path) -> tuple[VectorFieldModel, Adam | None, dict]:
-    """Rebuild a model (and optimizer, if saved) bit-exactly from disk."""
+def load_checkpoint(path: str | Path) -> tuple[VectorFieldModel, dict]:
+    """Rebuild a model bit-exactly from disk; returns it with the extra metadata."""
     raw = Path(path).read_bytes()
     if len(raw) < len(MAGIC) + 8:
         raise CheckpointError(f"{path}: file too short to be a checkpoint")
@@ -96,37 +72,13 @@ def load_checkpoint(path: str | Path) -> tuple[VectorFieldModel, Adam | None, di
         raise CheckpointError(f"{path}: extra metadata must be an object")
     wire = np.dtype(_WIRE[config.dtype])
 
-    def take(shape):
-        nonlocal offset
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        nbytes = count * wire.itemsize
+    for p in model.params.values():
+        nbytes = p.data.size * wire.itemsize
         if offset + nbytes > len(raw):
             raise CheckpointError(f"{path}: truncated payload")
-        arr = np.frombuffer(raw, dtype=wire, count=count, offset=offset)
+        arr = np.frombuffer(raw, dtype=wire, count=p.data.size, offset=offset)
+        p.data = arr.astype(config.np_dtype).reshape(p.data.shape)
         offset += nbytes
-        return arr.astype(config.np_dtype).reshape(shape)
-
-    for p in model.params.values():
-        p.data = take(p.data.shape)
-
-    optimizer = None
-    meta = header.get("optimizer")
-    if meta is not None:
-        try:
-            hyper = {key: meta[key] for key in ("lr", "beta1", "beta2", "eps")}
-            step = meta["step"]
-        except (KeyError, TypeError) as exc:
-            raise CheckpointError(f"{path}: invalid optimizer header ({exc!r})") from exc
-        if (
-            not all(type(v) in (int, float) for v in hyper.values())
-            or type(step) is not int
-            or step < 0
-        ):
-            raise CheckpointError(f"{path}: invalid optimizer header {meta}")
-        optimizer = Adam(model.parameters(), **hyper)
-        optimizer.step_count = step
-        optimizer.m = [take(p.data.shape) for p in model.parameters()]
-        optimizer.v = [take(p.data.shape) for p in model.parameters()]
     if offset != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - offset} trailing bytes after payload")
-    return model, optimizer, extra
+    return model, extra

@@ -65,7 +65,6 @@ class TrainConfig:
 @dataclass
 class TrainResult:
     model: VectorFieldModel
-    optimizer: Adam
     history: list[tuple[int, float]] = field(default_factory=list)
 
     @property
@@ -88,7 +87,7 @@ def train(
     task: TaskSpec,
     config: TrainConfig,
 ) -> TrainResult:
-    """Train a model on a task; returns the model, optimizer, and loss history.
+    """Train a model on a task; returns the model and its loss history.
 
     The seed is split into independent child streams for (in order) model
     init, the data stream, coupling noise, flow times, and condition dropout.
@@ -125,4 +124,4 @@ def train(
         optimizer.step()
         if it == 1 or it % config.log_every == 0 or it == config.iterations:
             history.append((it, loss))
-    return TrainResult(model=model, optimizer=optimizer, history=history)
+    return TrainResult(model=model, history=history)

@@ -1,6 +1,7 @@
 """End-to-end CLI tests (in-process, tiny workloads)."""
 
 import json
+import struct
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -88,9 +89,9 @@ def test_train_seed_flag_sets_the_training_seed(tmp_path):
     configured = run("cfg", 9, [])
     echoed = json.loads((flagged / "config.json").read_text())
     assert echoed["seed"] == 9 and echoed["train"]["seed"] == 9
-    model, _, extra = load_checkpoint(flagged / "model.fbc")
+    model, extra = load_checkpoint(flagged / "model.fbc")
     assert extra["train"]["seed"] == 9
-    reference, _, _ = load_checkpoint(configured / "model.fbc")
+    reference, _ = load_checkpoint(configured / "model.fbc")
     for name, p in model.params.items():
         assert np.array_equal(p.data, reference.params[name].data), name
 
@@ -234,7 +235,7 @@ def test_eval_writes_curvature_of_the_decode(planar_run, tmp_path, capsys):
     header, rows = read_csv(out / "curvature.csv")
     assert header == ["model", "gamma", "tau", "mean", "p25", "p75"]
     assert len(rows) == 10
-    model, _, _ = load_checkpoint(planar_run / "model.fbc")
+    model, _ = load_checkpoint(planar_run / "model.fbc")
     z = np.random.default_rng(2).standard_normal((6, 2))
     traj = integrate(model, z, SCHEDULES["raised_cosine"](5), direction="backward")
     prof = curvature_profile([traj])
@@ -295,6 +296,19 @@ def test_bridge_corrupt_sidecar(planar_run, tmp_path, capsys):
         "--input", str(sig_path), "--out", str(tmp_path / "b"),
     ])
     _assert_one_error_line(rc, capsys, "corrupt sidecar")
+
+
+def test_bridge_rejects_gamma_without_condition(planar_run, tmp_path, capsys):
+    # Without a condition only the null branch decodes, so a gamma would be ignored.
+    sig_path = tmp_path / "in.fbs"
+    save_signals(sig_path, np.zeros((2, 2), dtype=np.float32))
+    out = tmp_path / "b"
+    rc = main([
+        "bridge", "--checkpoint", str(planar_run / "model.fbc"),
+        "--input", str(sig_path), "--out", str(out), "--gamma", "2",
+    ])
+    _assert_one_error_line(rc, capsys, "--gamma needs --condition")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("gamma", ["nan", "inf", "abc"])
@@ -358,7 +372,7 @@ def test_eval_reference_uses_trained_seed_noise(tmp_path):
     ])
     assert rc == 0
     _, rows = read_csv(tmp_path / "ev" / "eval.csv")
-    model, _, _ = load_checkpoint(run / "model.fbc")
+    model, _ = load_checkpoint(run / "model.fbc")
     rng = np.random.default_rng(0)
     z = rng.standard_normal((32, 2)).astype(np.float32)
     ref = gen_two_moons(32, rng, noise=0.2)
@@ -385,7 +399,7 @@ def test_eval_scores_signal_tasks_by_w2(tmp_path):
     assert rc == 0
     _, rows = read_csv(tmp_path / "ev" / "eval.csv")
     assert [r[4] for r in rows] == ["w2"]
-    model, _, extra = load_checkpoint(run / "model.fbc")
+    model, extra = load_checkpoint(run / "model.fbc")
     rng = np.random.default_rng(0)
     z = rng.standard_normal((32, 16))
     batch = next(make_training_stream(TaskSpec(**extra["task"]), 32, rng))
@@ -411,12 +425,13 @@ def test_eval_scores_signal_tasks_by_w2(tmp_path):
          "signal_length_mismatch"],
 )
 def test_eval_rejects_malformed_task_metadata(planar_run, tmp_path, capsys, extra):
-    model, _, _ = load_checkpoint(planar_run / "model.fbc")
+    model, _ = load_checkpoint(planar_run / "model.fbc")
     ckpt = tmp_path / "m" / "model.fbc"
     ckpt.parent.mkdir()
     save_checkpoint(ckpt, model, extra=extra)
     rc = main(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "ev"), "--gammas", "1"])
     _assert_one_error_line(rc, capsys, str(ckpt))
+    assert not (tmp_path / "ev").exists()
 
 
 @pytest.mark.parametrize("gammas", ["a", "0,", "1,nan"])
@@ -426,6 +441,63 @@ def test_eval_rejects_non_numeric_gammas(planar_run, tmp_path, capsys, gammas):
         "--out", str(tmp_path / "ev"), "--gammas", gammas,
     ])
     _assert_one_error_line(rc, capsys, "--gammas")
+    assert not (tmp_path / "ev").exists()
+
+
+def test_eval_decodes_once_per_gamma_only_under_a_condition(planar_run, tmp_path, monkeypatch):
+    # integrate ignores gamma without a condition: a two_moons checkpoint is
+    # decoded once for the whole sweep, a cond_ring one once per gamma.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "task": {"family": "cond_ring"},
+        "model": {"hidden": 8, "depth": 1},
+        "train": {"iterations": 2, "batch_size": 4},
+    }))
+    ring = tmp_path / "ring"
+    assert main(["train", "--config", str(cfg_path), "--out", str(ring)]) == 0
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["gamma"])
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr("flowbridge.cli.integrate", counted)
+    # The gammas integrate was called with, per checkpoint.
+    runs = ((planar_run / "model.fbc", [0.0]), (ring / "model.fbc", [0.0, 0.5, 1.5]))
+    for ckpt, expected in runs:
+        calls.clear()
+        out = tmp_path / f"ev_{ckpt.parent.name}"
+        rc = main([
+            "eval", "--checkpoint", str(ckpt), "--out", str(out),
+            "--gammas", "0,0.5,1.5", "--samples", "8", "--steps", "3",
+        ])
+        assert rc == 0 and calls == expected
+        _, rows = read_csv(out / "eval.csv")
+        assert [float(r[3]) for r in rows] == [0.0, 0.5, 1.5]
+
+
+def test_v1_checkpoint_is_refused_by_version(planar_run, tmp_path, capsys):
+    # The v1 layout: an optimizer header entry, and the Adam first and second
+    # moments appended after the parameters.
+    raw = (planar_run / "model.fbc").read_bytes()
+    (header_len,) = struct.unpack_from("<I", raw, 12)
+    header = json.loads(raw[16 : 16 + header_len])
+    header["optimizer"] = {"beta1": 0.9, "beta2": 0.999, "eps": 1e-8, "lr": 1e-3, "step": 30}
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    params = raw[16 + header_len :]
+    ckpt = tmp_path / "old" / "model.fbc"
+    ckpt.parent.mkdir()
+    ckpt.write_bytes(
+        raw[:8] + struct.pack("<II", 1, len(blob)) + blob + params + bytes(2 * len(params))
+    )
+    sig_path = tmp_path / "in.fbs"
+    save_signals(sig_path, np.zeros((2, 2), dtype=np.float32))
+    for argv in (
+        ["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "ev")],
+        ["bridge", "--checkpoint", str(ckpt), "--input", str(sig_path),
+         "--out", str(tmp_path / "b")],
+    ):
+        _assert_one_error_line(main(argv), capsys, "unsupported format version 1")
 
 
 @pytest.mark.parametrize(
@@ -434,8 +506,9 @@ def test_eval_rejects_non_numeric_gammas(planar_run, tmp_path, capsys, gammas):
         (["eval", "--samples", "0"], "samples must be >= 1"),
         (["eval", "--samples", "-1"], "samples must be >= 1"),
         (["eval", "--seed", "-1"], "seed must be >= 0"),
+        (["eval", "--steps", "0"], "n_steps must be >= 1"),
     ],
-    ids=["eval_samples_0", "eval_samples_neg", "eval_seed_neg"],
+    ids=["eval_samples_0", "eval_samples_neg", "eval_seed_neg", "eval_steps_0"],
 )
 def test_rejects_bad_count_or_seed(planar_run, tmp_path, capsys, argv, needle):
     out = tmp_path / "o"

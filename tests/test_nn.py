@@ -536,10 +536,10 @@ class TestAdam:
 
 
 def _saved_with_header(tmp_path, key, edit):
-    """Path of a saved checkpoint (with optimizer) whose header[key] is edit(header[key])."""
+    """Path of a saved checkpoint whose header[key] is edit(header[key])."""
     model = _make_model(cond_dim=2, dtype="float32")
     path = tmp_path / "edited.fbc"
-    save_checkpoint(path, model, optimizer=Adam(model.parameters()))
+    save_checkpoint(path, model)
     raw = path.read_bytes()
     (header_len,) = struct.unpack_from("<I", raw, 12)
     header = json.loads(raw[16 : 16 + header_len])
@@ -557,63 +557,18 @@ class TestCheckpoint:
             p.data = (p.data + rng.standard_normal(p.data.shape)).astype(np.float32)
         path = tmp_path / "model.fbc"
         save_checkpoint(path, model, extra={"task": "two_moons"})
-        loaded, opt, extra = load_checkpoint(path)
-        assert opt is None
+        loaded, extra = load_checkpoint(path)
         assert extra == {"task": "two_moons"}
         assert loaded.config == model.config
         for a, b in zip(model.parameters(), loaded.parameters()):
             assert np.array_equal(a.data, b.data)
             assert a.data.dtype == b.data.dtype
 
-    def test_optimizer_state_round_trip(self, tmp_path):
-        model = _make_model(dtype="float32")
-        opt = Adam(model.parameters(), lr=3e-4)
-        rng = np.random.default_rng(22)
-        for _ in range(3):
-            for p in model.parameters():
-                p.grad = rng.standard_normal(p.data.shape).astype(np.float32)
-            opt.step()
-        path = tmp_path / "with_opt.fbc"
-        save_checkpoint(path, model, optimizer=opt)
-        _, opt2, _ = load_checkpoint(path)
-        assert opt2.step_count == 3
-        assert opt2.lr == opt.lr
-        for a, b in zip(opt.m, opt2.m):
-            assert np.array_equal(a, b)
-        for a, b in zip(opt.v, opt2.v):
-            assert np.array_equal(a, b)
-
-    def test_resume_matches_uninterrupted_run(self, tmp_path):
-        def grads_for(step):
-            return np.random.default_rng(100 + step)
-
-        def run(model, opt, start, stop):
-            for s in range(start, stop):
-                g = grads_for(s)
-                for p in model.parameters():
-                    p.grad = g.standard_normal(p.data.shape).astype(np.float32)
-                opt.step()
-
-        straight = _make_model(dtype="float32", seed=9)
-        opt_s = Adam(straight.parameters(), lr=1e-3)
-        run(straight, opt_s, 0, 6)
-
-        interrupted = _make_model(dtype="float32", seed=9)
-        opt_i = Adam(interrupted.parameters(), lr=1e-3)
-        run(interrupted, opt_i, 0, 3)
-        path = tmp_path / "mid.fbc"
-        save_checkpoint(path, interrupted, optimizer=opt_i)
-        resumed, opt_r, _ = load_checkpoint(path)
-        run(resumed, opt_r, 3, 6)
-
-        for a, b in zip(straight.parameters(), resumed.parameters()):
-            assert np.array_equal(a.data, b.data)
-
     def test_float64_round_trip(self, tmp_path):
         model = _make_model(dtype="float64")
         path = tmp_path / "f64.fbc"
         save_checkpoint(path, model)
-        loaded, _, _ = load_checkpoint(path)
+        loaded, _ = load_checkpoint(path)
         for a, b in zip(model.parameters(), loaded.parameters()):
             assert np.array_equal(a.data, b.data)
             assert b.data.dtype == np.float64
@@ -646,7 +601,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("header", [b"[]", b"5", b'"config"'])
     def test_rejects_non_object_header(self, tmp_path, header):
         path = tmp_path / "list.fbc"
-        path.write_bytes(b"FBRIDGE1" + struct.pack("<II", 1, len(header)) + header)
+        path.write_bytes(b"FBRIDGE1" + struct.pack("<II", 2, len(header)) + header)
         with pytest.raises(CheckpointError, match="header must be an object"):
             load_checkpoint(path)
 
@@ -656,23 +611,6 @@ class TestCheckpoint:
         save_checkpoint(path, model)
         path.write_bytes(path.read_bytes() + b"\x00" * 8)
         with pytest.raises(CheckpointError):
-            load_checkpoint(path)
-
-    @pytest.mark.parametrize(
-        "optimizer",
-        [
-            {"beta1": 0.9, "beta2": 0.999, "eps": 1e-8, "step": 3},
-            {"lr": 1e-3, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8},
-            {"lr": "1e-3", "beta1": 0.9, "beta2": 0.999, "eps": 1e-8, "step": 3},
-            {"lr": 1e-3, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8, "step": 3.0},
-            {"lr": 1e-3, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8, "step": -1},
-            [1e-3, 0.9, 0.999, 1e-8, 3],
-        ],
-        ids=["no_lr", "no_step", "str_lr", "float_step", "negative_step", "list"],
-    )
-    def test_rejects_bad_optimizer_header(self, tmp_path, optimizer):
-        path = _saved_with_header(tmp_path, "optimizer", lambda _: optimizer)
-        with pytest.raises(CheckpointError, match="optimizer header"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize(
@@ -704,31 +642,18 @@ class TestCheckpoint:
     @given(
         backbone=st.sampled_from(["mlp", "conv"]),
         dtype=st.sampled_from(["float32", "float64"]),
-        with_optimizer=st.booleans(),
         seed=st.integers(0, 2**16),
     )
-    def test_round_trip_property(self, backbone, dtype, with_optimizer, seed):
+    def test_round_trip_property(self, backbone, dtype, seed):
         model = _perturbed_model(backbone, dtype, seed=seed)
-        opt = None
-        if with_optimizer:
-            opt = Adam(model.parameters(), lr=1e-3)
-            rng = np.random.default_rng(seed)
-            for p in model.parameters():
-                p.grad = rng.standard_normal(p.data.shape).astype(p.data.dtype)
-            opt.step()
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "m.fbc"
-            save_checkpoint(path, model, optimizer=opt, extra={"seed": seed})
-            loaded, opt2, extra = load_checkpoint(path)
+            save_checkpoint(path, model, extra={"seed": seed})
+            loaded, extra = load_checkpoint(path)
         assert loaded.config == model.config and extra == {"seed": seed}
         assert list(loaded.params) == list(model.params)
         for a, b in zip(model.parameters(), loaded.parameters()):
             assert a.data.dtype == b.data.dtype and np.array_equal(a.data, b.data)
-        assert (opt2 is None) == (opt is None)
-        if opt is not None:
-            assert (opt2.step_count, opt2.lr) == (opt.step_count, opt.lr)
-            for a, b in zip(opt.m + opt.v, opt2.m + opt2.v):
-                assert a.dtype == b.dtype and np.array_equal(a, b)
         x = np.random.default_rng(seed).standard_normal((3, 8))
         cond = np.full((3, 2), 0.5)
         assert np.array_equal(model.velocity(x, 0.4, cond), loaded.velocity(x, 0.4, cond))
@@ -739,8 +664,7 @@ class TestCheckpoint:
         model = _make_model(cond_dim=1, dtype="float32", hidden=4, depth=1)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "m.fbc"
-            save_checkpoint(path, model, optimizer=Adam(model.parameters()),
-                            extra={"task": {"family": "cond_ring"}})
+            save_checkpoint(path, model, extra={"task": {"family": "cond_ring"}})
             raw = bytearray(path.read_bytes())
             (header_len,) = struct.unpack_from("<I", raw, 12)
             body = 16 + header_len
