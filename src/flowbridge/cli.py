@@ -104,10 +104,13 @@ def _cmd_bridge(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     save_signals(out / "output.fbs", result.output, fs=fs)
     save_signals(out / "latent.fbs", result.latent, fs=fs)
-    disp = np.linalg.norm(result.output - values, axis=1)
-    rel = disp / np.maximum(np.linalg.norm(values, axis=1), 1e-12)
+    # float64: the norms of float32 signals near its range overflow in float32.
+    x_in, x_out = values.astype(np.float64), result.output.astype(np.float64)
+    disp = np.linalg.norm(x_out - x_in, axis=1)
+    rel = disp / np.maximum(np.linalg.norm(x_in, axis=1), 1e-12)
+    guidance = "" if condition is None else f"gamma={gamma:g}, "
     print(
-        f"bridged {values.shape[0]} signals (gamma={gamma:g}, steps={args.steps}); "
+        f"bridged {values.shape[0]} signals ({guidance}steps={args.steps}); "
         f"median relative displacement {float(np.median(rel)):.4g}"
     )
     print(f"output: {out / 'output.fbs'}")

@@ -46,8 +46,8 @@ def build_config(cls, raw, section: str, **derived):
 
 def load_config(path: str | Path) -> dict:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         cfg = json.loads(text)

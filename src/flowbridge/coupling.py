@@ -20,8 +20,6 @@ from .exceptions import ShapeError, ValidationError
 __all__ = [
     "SignalBatch",
     "Coupling",
-    "chunk",
-    "unchunk",
     "couple_independent",
     "couple_chunked_ot",
 ]
@@ -54,10 +52,6 @@ class SignalBatch:
             if c.dtype != np.float32:
                 raise ValidationError(f"condition must be float32, got {c.dtype}")
 
-    @property
-    def batch_size(self) -> int:
-        return self.values.shape[0]
-
 
 @dataclass(frozen=True)
 class Coupling:
@@ -76,30 +70,6 @@ class Coupling:
             raise ShapeError(f"endpoint shape mismatch: {self.x0.shape} vs {self.x1.shape}")
         if self.x0.ndim != 2:
             raise ShapeError(f"coupling endpoints must be (B, N), got {self.x0.shape}")
-
-    @property
-    def batch_size(self) -> int:
-        return self.x0.shape[0]
-
-
-def chunk(values: np.ndarray, n_c: int) -> np.ndarray:
-    """Split (B, N) into (B*N/n_c, n_c) chunks, row-major over the batch."""
-    if values.ndim != 2:
-        raise ShapeError(f"expected (B, N), got {values.shape}")
-    b, n = values.shape
-    if n_c < 1 or n % n_c != 0:
-        raise ValidationError(f"chunk size {n_c} does not divide signal length {n}")
-    return values.reshape(-1, n_c)
-
-
-def unchunk(chunks: np.ndarray, batch_size: int) -> np.ndarray:
-    """Inverse of chunk: reassemble (B*N/n_c, n_c) back into (B, N)."""
-    if chunks.ndim != 2:
-        raise ShapeError(f"expected chunk array, got {chunks.shape}")
-    total, n_c = chunks.shape
-    if batch_size < 1 or total % batch_size != 0:
-        raise ValidationError(f"{total} chunks do not split over batch size {batch_size}")
-    return chunks.reshape(batch_size, -1)
 
 
 def couple_independent(batch: SignalBatch, rng: np.random.Generator) -> Coupling:
@@ -124,14 +94,17 @@ def couple_chunked_ot(
     entropy-regularized solver runs at that epsilon and pairs are sampled
     from the plan rows.
     """
+    n = batch.values.shape[1]
+    if n_c < 1 or n % n_c != 0:
+        raise ValidationError(f"chunk size {n_c} does not divide signal length {n}")
     x1 = rng.standard_normal(batch.values.shape, dtype=np.float32)
-    data_chunks = chunk(batch.values, n_c)
-    noise_chunks = chunk(x1, n_c)
+    data_chunks = batch.values.reshape(-1, n_c)
+    noise_chunks = x1.reshape(-1, n_c)
     c = ot.cost_matrix(data_chunks, noise_chunks)
     if epsilon is None:
         sigma = ot.solve_exact(c).sigma
     else:
         plan = ot.solve_sinkhorn(c, epsilon=epsilon)
         sigma = ot.plan_to_pairs(plan, rng)
-    matched = unchunk(noise_chunks[sigma], batch.batch_size)
+    matched = noise_chunks[sigma].reshape(x1.shape)
     return Coupling(batch.values, matched, batch.condition)

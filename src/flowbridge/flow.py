@@ -16,31 +16,7 @@ from .coupling import Coupling
 from .exceptions import ShapeError, ValidationError
 from .nn.model import VectorFieldModel
 
-__all__ = ["interpolate", "cfm_target", "cfm_loss", "cfg_combine"]
-
-
-def _broadcast_tau(tau, batch_size: int) -> np.ndarray:
-    tau = np.asarray(tau, dtype=np.float64)
-    if tau.ndim == 0:
-        tau = np.full(batch_size, float(tau))
-    if tau.shape != (batch_size,):
-        raise ShapeError(f"tau must be scalar or ({batch_size},), got {tau.shape}")
-    if np.any(tau < 0.0) or np.any(tau > 1.0):
-        raise ValidationError("tau must lie in [0, 1]")
-    return tau
-
-
-def interpolate(x0: np.ndarray, x1: np.ndarray, tau) -> np.ndarray:
-    """Points on the straight path: (1 - tau) * x0 + tau * x1, tau scalar or per row."""
-    if x0.shape != x1.shape:
-        raise ShapeError(f"endpoint shape mismatch: {x0.shape} vs {x1.shape}")
-    w = _broadcast_tau(tau, x0.shape[0])[:, None].astype(x0.dtype)
-    return (1.0 - w) * x0 + w * x1
-
-
-def cfm_target(coupling: Coupling) -> np.ndarray:
-    """Constant velocity of the straight path, x1 - x0."""
-    return coupling.x1 - coupling.x0
+__all__ = ["cfm_loss"]
 
 
 def cfm_loss(
@@ -56,10 +32,18 @@ def cfm_loss(
     pushed through the tape onto model.params; inside ``nn.autodiff.no_grad()``
     no tape is recorded, so the call only computes the loss.
     """
-    b = coupling.batch_size
-    tau = _broadcast_tau(tau, b)
-    xt = interpolate(coupling.x0, coupling.x1, tau)
-    target = cfm_target(coupling)
+    x0, x1 = coupling.x0, coupling.x1
+    b = x0.shape[0]
+    tau = np.asarray(tau, dtype=np.float64)
+    if tau.ndim == 0:
+        tau = np.full(b, float(tau))
+    if tau.shape != (b,):
+        raise ShapeError(f"tau must be scalar or ({b},), got {tau.shape}")
+    if np.any(tau < 0.0) or np.any(tau > 1.0):
+        raise ValidationError("tau must lie in [0, 1]")
+    w = tau[:, None].astype(x0.dtype)
+    xt = (1.0 - w) * x0 + w * x1
+    target = x1 - x0
     present = np.full(b, coupling.condition is not None)
     if drop_condition is not None:
         if drop_condition.shape != (b,):
@@ -70,14 +54,3 @@ def cfm_loss(
     loss = float(np.mean(r * r))
     out.backward(2.0 * r / r.size)
     return loss
-
-
-def cfg_combine(v_cond: np.ndarray, v_null: np.ndarray, gamma: float) -> np.ndarray:
-    """Guided field: gamma * v_cond + (1 - gamma) * v_null.
-
-    gamma = 1 returns the conditional field, gamma = 0 the unconditional one;
-    values above 1 extrapolate away from the null prediction.
-    """
-    if v_cond.shape != v_null.shape:
-        raise ShapeError(f"field shape mismatch: {v_cond.shape} vs {v_null.shape}")
-    return gamma * v_cond + (1.0 - gamma) * v_null

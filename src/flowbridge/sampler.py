@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DivergenceError, ShapeError, ValidationError
-from .flow import cfg_combine
 from .nn.model import VectorFieldModel
 
 __all__ = [
@@ -143,7 +142,7 @@ def integrate(
         if gamma == 0.0:
             return v_null
         v_cond = model.velocity(x, tau, condition)
-        return cfg_combine(v_cond, v_null, gamma)
+        return gamma * v_cond + (1.0 - gamma) * v_null
 
     velocities = np.empty((n_steps,) + x.shape, dtype=dtype)
     for i in range(n_steps):

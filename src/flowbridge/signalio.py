@@ -8,6 +8,7 @@ CSV; floats are written with repr so they round-trip exactly.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from pathlib import Path
@@ -69,7 +70,7 @@ def format_value(x) -> str:
 
 
 def write_csv(path: str | Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
@@ -81,18 +82,23 @@ def write_csv(path: str | Path, header: list[str], rows) -> None:
 
 
 def read_csv(path: str | Path) -> tuple[list[str], list[list[str]]]:
-    """Header and string rows; width mismatches raise with the line number."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvFormatError(1, "file is empty") from None
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise CsvFormatError(lineno, f"expected {len(header)} cells, got {len(row)}")
-            rows.append(row)
+    """Header and string rows; width mismatches and non-UTF-8 bytes raise with the line number."""
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise CsvFormatError(line, f"{path} is not UTF-8 text ({exc.reason})") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise CsvFormatError(1, "file is empty") from None
+    rows = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise CsvFormatError(lineno, f"expected {len(header)} cells, got {len(row)}")
+        rows.append(row)
     return header, rows

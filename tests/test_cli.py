@@ -247,7 +247,7 @@ def test_eval_writes_curvature_of_the_decode(planar_run, tmp_path, capsys):
     assert "curvature=" in capsys.readouterr().out
 
 
-def test_bridge_command(planar_run, tmp_path):
+def test_bridge_command(planar_run, tmp_path, capsys):
     rng = np.random.default_rng(0)
     x = rng.standard_normal((4, 2)).astype(np.float32)
     sig_path = tmp_path / "in.fbs"
@@ -263,6 +263,43 @@ def test_bridge_command(planar_run, tmp_path):
     assert y.shape == x.shape
     assert z.shape == x.shape
     assert np.all(np.isfinite(y))
+    # Without --condition only the null branch decodes, so no gamma is named.
+    summary = capsys.readouterr().out.splitlines()[0]
+    assert summary.startswith("bridged 4 signals (steps=4); ") and "gamma" not in summary
+
+
+def test_bridge_summary_names_gamma_under_a_condition(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "task": {"family": "cond_ring"},
+        "model": {"hidden": 8, "depth": 1},
+        "train": {"iterations": 2, "batch_size": 4},
+    }))
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "ring")]) == 0
+    sig_path = tmp_path / "in.fbs"
+    save_signals(sig_path, np.full((3, 2), 0.5, dtype=np.float32))
+    capsys.readouterr()
+    rc = main([
+        "bridge", "--checkpoint", str(tmp_path / "ring" / "model.fbc"),
+        "--input", str(sig_path), "--out", str(tmp_path / "b"), "--steps", "4",
+        "--condition", "0.5", "--gamma", "1.5",
+    ])
+    assert rc == 0
+    assert capsys.readouterr().out.startswith("bridged 3 signals (gamma=1.5, steps=4); ")
+
+
+def test_bridge_summary_of_float32_extremes(planar_run, tmp_path, capsys):
+    # The norms of 1e30-sized rows overflow float32; the summary stays finite.
+    sig_path = tmp_path / "in.fbs"
+    save_signals(sig_path, np.full((4, 2), 1e30, dtype=np.float32))
+    rc = main([
+        "bridge", "--checkpoint", str(planar_run / "model.fbc"),
+        "--input", str(sig_path), "--out", str(tmp_path / "b"), "--steps", "4",
+    ])
+    assert rc == 0
+    summary = capsys.readouterr().out.splitlines()[0]
+    rel = float(summary.rsplit(" ", 1)[1])
+    assert np.isfinite(rel), summary
 
 
 def test_bridge_condition_on_unconditional_model(planar_run, tmp_path, capsys):
@@ -571,6 +608,22 @@ def test_plot_non_numeric_column(tmp_path, capsys):
         "plot", "--input", str(csv_path), "--out", str(out), "--x", "model", "--y", "mean",
     ])
     _assert_one_error_line(rc, capsys, "column 'model' holds a non-numeric cell 'moons'")
+    assert not out.exists()
+
+
+def test_train_non_utf8_config(tmp_path, capsys):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_bytes(b"\xff\xfe{}")
+    rc = main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "r")])
+    _assert_one_error_line(rc, capsys, f"cannot read config {cfg_path}")
+
+
+def test_plot_non_utf8_csv(tmp_path, capsys):
+    csv_path = tmp_path / "bad.csv"
+    csv_path.write_bytes(b"\xff\xfetau,mean\n0.0,1.0\n")
+    out = tmp_path / "bad.svg"
+    rc = main(["plot", "--input", str(csv_path), "--out", str(out), "--x", "tau", "--y", "mean"])
+    _assert_one_error_line(rc, capsys, f"line 1: {csv_path} is not UTF-8 text")
     assert not out.exists()
 
 

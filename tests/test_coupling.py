@@ -1,4 +1,4 @@
-"""Tests for batch chunking and data/noise couplings."""
+"""Tests for the data/noise couplings and their containers."""
 
 import hashlib
 
@@ -8,14 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowbridge import ot
-from flowbridge.coupling import (
-    Coupling,
-    SignalBatch,
-    chunk,
-    couple_chunked_ot,
-    couple_independent,
-    unchunk,
-)
+from flowbridge.coupling import Coupling, SignalBatch, couple_chunked_ot, couple_independent
 from flowbridge.exceptions import ShapeError, ValidationError
 from flowbridge.tasks import TaskSpec, make_training_stream
 
@@ -43,36 +36,6 @@ class TestSignalBatch:
                 np.zeros((2, 4), dtype=np.float32),
                 np.zeros((3, 1), dtype=np.float32),
             )
-
-
-class TestChunking:
-    @pytest.mark.parametrize("b,n,n_c", [(4, 16, 4), (8, 12, 3), (1, 10, 10), (2, 6, 1)])
-    def test_unchunk_inverts_chunk(self, b, n, n_c):
-        rng = np.random.default_rng(5)
-        v = rng.standard_normal((b, n)).astype(np.float32)
-        assert np.array_equal(unchunk(chunk(v, n_c), b), v)
-
-    def test_chunk_count(self):
-        v = np.zeros((4, 16), dtype=np.float32)
-        assert chunk(v, 4).shape == (16, 4)
-
-    def test_chunks_are_contiguous_slices(self):
-        # Chunk c of the flattened pool holds samples in batch-major order:
-        # chunk 0 is row 0 positions 0..n_c-1, and chunks cross row
-        # boundaries only between rows.
-        v = np.arange(12, dtype=np.float32).reshape(2, 6)
-        ch = chunk(v, 3)
-        assert np.array_equal(ch[0], [0, 1, 2])
-        assert np.array_equal(ch[1], [3, 4, 5])
-        assert np.array_equal(ch[2], [6, 7, 8])
-
-    def test_rejects_non_divisor(self):
-        with pytest.raises(ValidationError):
-            chunk(np.zeros((2, 10), dtype=np.float32), 3)
-
-    def test_unchunk_rejects_bad_batch(self):
-        with pytest.raises(ValidationError):
-            unchunk(np.zeros((9, 2), dtype=np.float32), 4)
 
 
 class TestCoupleIndependent:
@@ -109,8 +72,8 @@ class TestCoupleChunkedOT:
         batch = _batch(np.random.default_rng(21), b=4, n=16)
         indep = couple_independent(batch, np.random.default_rng(7))
         coupled = couple_chunked_ot(batch, np.random.default_rng(7), n_c=4)
-        got = np.sort(chunk(coupled.x1, 4).ravel())
-        want = np.sort(chunk(indep.x1, 4).ravel())
+        got = np.sort(coupled.x1.ravel())
+        want = np.sort(indep.x1.ravel())
         assert np.array_equal(got, want)
 
     def test_cost_never_above_independent(self):
@@ -128,9 +91,9 @@ class TestCoupleChunkedOT:
         batch = _batch(np.random.default_rng(23), b=2, n=8)
         seed = 31
         noise = np.random.default_rng(seed).standard_normal((2, 8), dtype=np.float32)
-        c = ot.cost_matrix(chunk(batch.values, 4), chunk(noise, 4))
+        c = ot.cost_matrix(batch.values.reshape(-1, 4), noise.reshape(-1, 4))
         sigma = ot.solve_exact(c).sigma
-        want = unchunk(chunk(noise, 4)[sigma], 2)
+        want = noise.reshape(-1, 4)[sigma].reshape(2, 8)
         got = couple_chunked_ot(batch, np.random.default_rng(seed), n_c=4)
         assert np.array_equal(got.x1, want)
 
@@ -142,6 +105,12 @@ class TestCoupleChunkedOT:
         raw = np.random.default_rng(3).standard_normal((6, 8), dtype=np.float32)
         matched = {tuple(row) for row in coupled.x1}
         assert matched == {tuple(row) for row in raw}
+
+    @pytest.mark.parametrize("n_c", [3, 0])
+    def test_rejects_chunk_size_not_dividing_the_length(self, n_c):
+        batch = _batch(np.random.default_rng(26), b=2, n=10)
+        with pytest.raises(ValidationError):
+            couple_chunked_ot(batch, np.random.default_rng(0), n_c=n_c)
 
     def test_sinkhorn_route(self):
         batch = _batch(np.random.default_rng(25), b=4, n=16)
@@ -199,14 +168,7 @@ def _drawn(shape):
 
 
 def _chunk_rows(values, n_c):
-    return sorted(map(tuple, chunk(values, n_c)))
-
-
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(shape=_shapes)
-def test_unchunk_inverts_chunk_property(shape):
-    batch, n_c, _ = _drawn(shape)
-    assert np.array_equal(unchunk(chunk(batch.values, n_c), batch.batch_size), batch.values)
+    return sorted(map(tuple, values.reshape(-1, n_c)))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

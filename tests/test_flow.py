@@ -1,11 +1,11 @@
-"""Tests for path interpolation, the CFM loss, and guidance combination."""
+"""Tests for the CFM loss: its straight-path states, target, tau checks and gradients."""
 
 import numpy as np
 import pytest
 
 from flowbridge.coupling import Coupling
 from flowbridge.exceptions import ShapeError, ValidationError
-from flowbridge.flow import cfg_combine, cfm_loss, cfm_target, interpolate
+from flowbridge.flow import cfm_loss
 from flowbridge.nn import ModelConfig, VectorFieldModel
 from flowbridge.nn.autodiff import no_grad
 
@@ -25,60 +25,6 @@ def _coupling(rng, b=4, n=8, cond_dim=0):
     return Coupling(x0, x1, cond)
 
 
-class TestInterpolate:
-    def test_endpoints(self):
-        rng = np.random.default_rng(0)
-        c = _coupling(rng)
-        assert np.array_equal(interpolate(c.x0, c.x1, 0.0), c.x0)
-        assert np.array_equal(interpolate(c.x0, c.x1, 1.0), c.x1)
-
-    def test_midpoint(self):
-        rng = np.random.default_rng(1)
-        c = _coupling(rng)
-        mid = interpolate(c.x0, c.x1, 0.5)
-        assert np.allclose(mid, 0.5 * (c.x0 + c.x1), atol=1e-7)
-
-    def test_per_sample_tau(self):
-        rng = np.random.default_rng(2)
-        c = _coupling(rng, b=3)
-        tau = np.array([0.0, 0.5, 1.0])
-        pt = interpolate(c.x0, c.x1, tau)
-        assert np.array_equal(pt[0], c.x0[0])
-        assert np.array_equal(pt[2], c.x1[2])
-
-    def test_rejects_out_of_range(self):
-        rng = np.random.default_rng(3)
-        c = _coupling(rng)
-        with pytest.raises(ValidationError):
-            interpolate(c.x0, c.x1, 1.5)
-        with pytest.raises(ValidationError):
-            interpolate(c.x0, c.x1, -0.2)
-
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            interpolate(np.zeros((2, 4)), np.zeros((2, 5)), 0.5)
-
-
-class TestCfmTarget:
-    def test_is_displacement(self):
-        rng = np.random.default_rng(4)
-        c = _coupling(rng)
-        assert np.array_equal(cfm_target(c), c.x1 - c.x0)
-
-    def test_constant_along_path(self):
-        # The linear path has constant velocity: finite differences of the
-        # interpolant recover the target at any tau.
-        rng = np.random.default_rng(5)
-        c = _coupling(rng)
-        h = 1e-3
-        for tau in (0.2, 0.5, 0.8):
-            fd = (
-                interpolate(c.x0, c.x1, tau + h).astype(np.float64)
-                - interpolate(c.x0, c.x1, tau - h).astype(np.float64)
-            ) / (2 * h)
-            assert np.allclose(fd, cfm_target(c), atol=1e-3)
-
-
 class TestCfmLoss:
     def test_zero_init_model_loss_equals_target_power(self):
         # v = 0 at init, so the loss is exactly mean(u^2).
@@ -87,7 +33,7 @@ class TestCfmLoss:
         model = _model()
         with no_grad():
             loss = cfm_loss(model, c, 0.5)
-        u = cfm_target(c).astype(np.float64)
+        u = (c.x1 - c.x0).astype(np.float64)
         assert abs(loss - float(np.mean(u**2))) < 1e-12
 
     def test_no_grad_returns_the_taped_loss_and_leaves_no_gradients(self):
@@ -149,11 +95,12 @@ class TestCfmLoss:
             p.data = p.data + 0.1 * rng.standard_normal(p.data.shape)
         tau = np.array([0.4, 0.4])
         drop = np.array([False, True])
-        xt = interpolate(c.x0, c.x1, tau)
+        w = tau[:, None].astype(np.float32)
+        xt = (1.0 - w) * c.x0 + w * c.x1
         with no_grad():
             v_drop = model.forward(xt, tau, c.condition, np.array([True, False])).data
             loss_drop = cfm_loss(model, c, tau, drop_condition=drop)
-        u = cfm_target(c).astype(np.float64)
+        u = (c.x1 - c.x0).astype(np.float64)
         assert abs(loss_drop - float(np.mean((v_drop - u) ** 2))) <= 1e-12
 
     def test_presence_defaults_to_the_condition(self):
@@ -164,13 +111,56 @@ class TestCfmLoss:
         for p in model.parameters():
             p.data = p.data + 0.1 * rng.standard_normal(p.data.shape)
         tau = np.array([0.2, 0.7])
+        w = tau[:, None].astype(np.float32)
         for cond_dim in (2, 0):
             c = _coupling(rng, b=2, cond_dim=cond_dim)
             present = np.full(2, c.condition is not None)
             with no_grad():
-                v = model.forward(interpolate(c.x0, c.x1, tau), tau, c.condition, present).data
+                xt = (1.0 - w) * c.x0 + w * c.x1
+                v = model.forward(xt, tau, c.condition, present).data
                 loss = cfm_loss(model, c, tau)
-            assert loss == float(np.mean((v - cfm_target(c).astype(np.float64)) ** 2))
+            assert loss == float(np.mean((v - (c.x1 - c.x0).astype(np.float64)) ** 2))
+
+    def test_forward_sees_the_straight_path_states(self, monkeypatch):
+        # tau = 0 feeds exactly x0, tau = 1 exactly x1, and a per-row tau
+        # feeds (1 - tau_i) * x0_i + tau_i * x1_i.
+        rng = np.random.default_rng(13)
+        c = _coupling(rng, b=3)
+        model = _model()
+        seen = []
+        forward = model.forward
+
+        def spy(xt, tau, condition, present):
+            seen.append((xt, tau))
+            return forward(xt, tau, condition, present)
+
+        monkeypatch.setattr(model, "forward", spy)
+        taus = np.array([0.0, 0.3, 1.0])
+        with no_grad():
+            cfm_loss(model, c, 0.0)
+            cfm_loss(model, c, 1.0)
+            cfm_loss(model, c, taus)
+        (x_at0, t0), (x_at1, t1), (x_mix, t_mix) = seen
+        assert np.array_equal(x_at0, c.x0) and np.array_equal(t0, np.zeros(3))
+        assert np.array_equal(x_at1, c.x1) and np.array_equal(t1, np.ones(3))
+        assert np.array_equal(t_mix, taus)
+        for i, t in enumerate(taus):
+            w = np.float32(t)
+            assert np.array_equal(x_mix[i], (1.0 - w) * c.x0[i] + w * c.x1[i])
+
+    @pytest.mark.parametrize("tau", [1.5, -0.2])
+    def test_rejects_tau_out_of_range(self, tau):
+        rng = np.random.default_rng(14)
+        c = _coupling(rng)
+        with pytest.raises(ValidationError):
+            cfm_loss(_model(), c, tau)
+
+    @pytest.mark.parametrize("tau", [np.full(3, 0.5), np.full((4, 1), 0.5)])
+    def test_rejects_misshaped_tau(self, tau):
+        rng = np.random.default_rng(15)
+        c = _coupling(rng)
+        with pytest.raises(ShapeError):
+            cfm_loss(_model(), c, tau)
 
     def test_drop_mask_shape_checked(self):
         rng = np.random.default_rng(10)
@@ -195,25 +185,3 @@ class TestCfmLoss:
         with no_grad():
             last = cfm_loss(model, c, 0.5)
         assert last < 0.5 * first
-
-
-class TestCfgCombine:
-    def test_gamma_one_is_conditional(self):
-        rng = np.random.default_rng(12)
-        a, b = rng.standard_normal((2, 3, 4))
-        assert np.array_equal(cfg_combine(a, b, 1.0), a)
-
-    def test_gamma_zero_is_null(self):
-        rng = np.random.default_rng(13)
-        a, b = rng.standard_normal((2, 3, 4))
-        assert np.array_equal(cfg_combine(a, b, 0.0), b)
-
-    def test_linear_in_gamma(self):
-        rng = np.random.default_rng(14)
-        a, b = rng.standard_normal((2, 3, 4))
-        got = cfg_combine(a, b, 2.0)
-        assert np.allclose(got, 2.0 * a - b, atol=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            cfg_combine(np.zeros((2, 3)), np.zeros((3, 2)), 1.0)

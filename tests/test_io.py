@@ -162,6 +162,13 @@ class TestCsv:
             read_csv(p)
         assert exc.value.line == 3
 
+    def test_non_utf8_read_names_line(self, tmp_path):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes("a,b\n1,2\ncaf\u00e9,3\n".encode("latin-1"))
+        with pytest.raises(CsvFormatError) as exc:
+            read_csv(p)
+        assert exc.value.line == 3 and str(p) in str(exc.value)
+
     def test_empty_file(self, tmp_path):
         p = tmp_path / "empty.csv"
         p.write_text("")

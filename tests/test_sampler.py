@@ -189,6 +189,19 @@ class TestIntegrate:
         integrate(stub, np.ones((1, 2)), schedule_uniform(4), condition=None)
         assert (stub.calls_cond, stub.calls_null) == (0, 4)
 
+    @pytest.mark.parametrize("gamma,weights", [(1.0, (1, 0)), (0.0, (0, 1)), (2.0, (2, -1))])
+    def test_guided_field_blends_the_branches(self, gamma, weights):
+        # The conditional branch returns a, the null branch b: one Euler step
+        # applies gamma * a + (1 - gamma) * b.
+        a, b = np.array([[1.5, -2.0]]), np.array([[0.25, 4.0]])
+        stub = SimpleNamespace(
+            config=SimpleNamespace(np_dtype=np.float64),
+            velocity=lambda x, tau, condition=None: b if condition is None else a,
+        )
+        cond = np.zeros((1, 1), dtype=np.float32)
+        traj = integrate(stub, np.zeros((1, 2)), schedule_uniform(1), condition=cond, gamma=gamma)
+        assert np.array_equal(traj.velocities[0], weights[0] * a + weights[1] * b)
+
     @pytest.mark.parametrize("direction", ["forward", "backward"])
     def test_rejects_non_finite_start(self, direction):
         stub = _decay_field(-1.0)
