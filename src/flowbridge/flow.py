@@ -39,7 +39,7 @@ def cfm_loss(
         tau = np.full(b, float(tau))
     if tau.shape != (b,):
         raise ShapeError(f"tau must be scalar or ({b},), got {tau.shape}")
-    if np.any(tau < 0.0) or np.any(tau > 1.0):
+    if not np.all((tau >= 0.0) & (tau <= 1.0)):
         raise ValidationError("tau must lie in [0, 1]")
     w = tau[:, None].astype(x0.dtype)
     xt = (1.0 - w) * x0 + w * x1

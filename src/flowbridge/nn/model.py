@@ -153,22 +153,38 @@ class VectorFieldModel:
         condition: np.ndarray | None = None,
         present: np.ndarray | None = None,
     ) -> Tensor:
-        """Velocity prediction as a Tensor (call .backward on a seeded loss grad)."""
+        """Velocity prediction as a Tensor (call .backward on a seeded loss grad).
+
+        A scalar tau builds the context on one row when every row shares it;
+        a (B,) tau, as in training, always builds it per row.
+        """
         cfg = self.config
         dt = cfg.np_dtype
         if x.ndim != 2 or x.shape[1] != cfg.signal_length:
             raise ShapeError(f"expected (B, {cfg.signal_length}), got {x.shape}")
         b = x.shape[0]
         tau = np.asarray(tau, dtype=dt)
-        if np.any(tau < 0.0) or np.any(tau > 1.0):
+        if not np.all((tau >= 0.0) & (tau <= 1.0)):
             raise ValidationError("tau must lie in [0, 1]")
         if present is None:
             present = np.full(b, condition is not None)
         elif present.shape != (b,):
             raise ShapeError(f"present must be ({b},), got {present.shape}")
-        if tau.ndim == 0 and not present.any():
-            # Every row has the same context: build it on one row, broadcast it.
-            tau, present = tau.reshape(1), np.zeros(1, dtype=bool)
+        # One shared context row, which film broadcasts: no row present, or
+        # all present with equal condition rows (a NaN row never is equal).
+        # A (B,) tau never pays for the row comparison.
+        if tau.ndim == 0 and (
+            not present.any()
+            or (
+                present.all()
+                and condition is not None
+                and condition.shape == (b, cfg.cond_dim)
+                and np.all(condition == condition[:1])
+            )
+        ):
+            if present.any():
+                condition = condition[:1]
+            tau, present = tau.reshape(1), np.full(1, present.any())
         else:
             tau = np.broadcast_to(tau, (b,)).copy()
         ctx = self._context(tau, condition, present)

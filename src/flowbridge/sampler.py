@@ -113,9 +113,10 @@ def integrate(
     0 (negative steps). With a condition, the field is the guided combination
     gamma * v_cond + (1 - gamma) * v_null; gamma = 1 and gamma = 0 skip the
     second network evaluation. Without a condition only the null branch is
-    evaluated. The start state is cast to the model dtype; raises
-    ValidationError if it is then non-finite, and DivergenceError the first
-    time a later state goes non-finite.
+    evaluated. The start state and condition are cast to the model dtype;
+    raises ValidationError, before any network evaluation, if either is then
+    non-finite or gamma is, and DivergenceError the first time a later state
+    goes non-finite.
     """
     if start.ndim != 2:
         raise ShapeError(f"start state must be (B, N), got {start.shape}")
@@ -123,8 +124,14 @@ def integrate(
     # Cast before the check: a value past the model dtype's range becomes inf.
     with np.errstate(over="ignore"):
         x = start = np.asarray(start, dtype=dtype)
+        if condition is not None:
+            condition = np.asarray(condition, dtype=dtype)
     if not np.all(np.isfinite(start)):
         raise ValidationError(f"start state has non-finite values in {np.dtype(dtype).name}")
+    if condition is not None and not np.all(np.isfinite(condition)):
+        raise ValidationError(f"condition has non-finite values in {np.dtype(dtype).name}")
+    if not np.isfinite(gamma):
+        raise ValidationError(f"gamma must be finite, got {gamma}")
     if method not in ("euler", "midpoint"):
         raise ValidationError(f"unknown method {method!r}")
     if direction not in ("forward", "backward"):

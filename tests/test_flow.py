@@ -148,7 +148,7 @@ class TestCfmLoss:
             w = np.float32(t)
             assert np.array_equal(x_mix[i], (1.0 - w) * c.x0[i] + w * c.x1[i])
 
-    @pytest.mark.parametrize("tau", [1.5, -0.2])
+    @pytest.mark.parametrize("tau", [1.5, -0.2, np.nan, np.array([0.5, np.nan, 0.5, 0.5])])
     def test_rejects_tau_out_of_range(self, tau):
         rng = np.random.default_rng(14)
         c = _coupling(rng)

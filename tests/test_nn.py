@@ -395,6 +395,10 @@ class TestVectorFieldModel:
             model.velocity(x, 1.5)
         with pytest.raises(ValidationError):
             model.velocity(x, -0.1)
+        with pytest.raises(ValidationError):
+            model.velocity(x, float("nan"))
+        with pytest.raises(ValidationError):
+            model.forward(x, np.array([0.5, np.nan]))
 
     def test_rejects_bad_shapes(self):
         model = _make_model(cond_dim=2)
@@ -459,7 +463,8 @@ def _perturbed_model(backbone, dtype, seed=15):
 
 @pytest.mark.parametrize("backbone,dtype", INFERENCE_CASES)
 class TestInferencePath:
-    """velocity runs forward without a tape, and with a shared context for scalar tau."""
+    """velocity runs forward without a tape, and with a shared context for scalar tau
+    when no row is present or every row has the same condition."""
 
     @pytest.mark.parametrize("present", [None, "all"])
     def test_velocity_equals_forward_with_per_row_tau(self, backbone, dtype, present):
@@ -479,6 +484,49 @@ class TestInferencePath:
         per_row = model.forward(x, np.full(5, 0.3)).data
         rtol = 1e-6 if dtype == "float32" else 1e-12
         np.testing.assert_allclose(shared, per_row, rtol=rtol, atol=rtol * np.abs(per_row).max())
+
+    def test_scalar_tau_shares_a_common_condition_context(self, backbone, dtype):
+        model = _perturbed_model(backbone, dtype)
+        x = np.random.default_rng(21).standard_normal((5, 8))
+        cond = np.tile([[0.7, -1.2]], (5, 1))
+        shared = model.velocity(x, 0.3, cond)
+        per_row = model.forward(x, np.full(5, 0.3), cond).data
+        rtol = 1e-6 if dtype == "float32" else 1e-12
+        np.testing.assert_allclose(shared, per_row, rtol=rtol, atol=rtol * np.abs(per_row).max())
+
+    @pytest.mark.parametrize(
+        "case, rows",
+        [("shared", 1), ("null", 1), ("one_row_differs", 5), ("nan_row", 5), ("per_row_tau", 5)],
+    )
+    def test_context_row_count(self, backbone, dtype, case, rows, monkeypatch):
+        model = _perturbed_model(backbone, dtype)
+        x = np.random.default_rng(22).standard_normal((5, 8))
+        cond = np.tile([[0.7, -1.2]], (5, 1))
+        tau = np.full(5, 0.3) if case == "per_row_tau" else 0.3
+        if case == "null":
+            cond = None
+        elif case == "one_row_differs":
+            cond[3, 1] = 0.5
+        elif case == "nan_row":
+            cond[2, 0] = np.nan
+        built = []
+        context = model._context
+
+        def spy(tau, condition, present):
+            built.append(tau.shape[0])
+            return context(tau, condition, present)
+
+        monkeypatch.setattr(model, "_context", spy)
+        model.velocity(x, tau, cond)
+        assert built == [rows]
+
+    def test_one_differing_row_keeps_the_per_row_forward(self, backbone, dtype):
+        model = _perturbed_model(backbone, dtype)
+        x = np.random.default_rng(23).standard_normal((5, 8))
+        cond = np.tile([[0.7, -1.2]], (5, 1))
+        cond[4, 0] = 0.1
+        per_row = model.forward(x, np.full(5, 0.3), cond).data
+        assert np.array_equal(model.velocity(x, 0.3, cond), per_row)
 
     def test_velocity_leaves_gradients_untouched(self, backbone, dtype):
         model = _perturbed_model(backbone, dtype)

@@ -211,6 +211,23 @@ class TestIntegrate:
             integrate(stub, start, schedule_uniform(4), direction=direction)
         assert stub.calls_null == 0
 
+    @pytest.mark.parametrize(
+        "cond_value,gamma",
+        [(np.nan, 1.0), (np.inf, 0.5), (0.0, np.inf), (0.0, np.nan)],
+    )
+    def test_rejects_non_finite_condition_or_gamma_before_any_step(self, cond_value, gamma):
+        stub = _decay_field(-1.0)
+        cond = np.array([[0.0], [cond_value]])
+        with pytest.raises(ValidationError, match="condition|gamma"):
+            integrate(stub, np.ones((2, 3)), schedule_uniform(4), condition=cond, gamma=gamma)
+        assert stub.calls_cond == stub.calls_null == 0
+
+    def test_rejects_condition_that_overflows_the_model_dtype(self):
+        cfg = ModelConfig(signal_length=2, hidden=4, depth=1, cond_dim=1, dtype="float32")
+        model = VectorFieldModel(cfg, np.random.default_rng(0))
+        with pytest.raises(ValidationError, match="condition .*float32"):
+            integrate(model, np.zeros((1, 2)), schedule_uniform(2), condition=np.array([[1e300]]))
+
     def test_rejects_start_that_overflows_the_model_dtype(self):
         cfg = ModelConfig(signal_length=2, hidden=4, depth=1, dtype="float32")
         model = VectorFieldModel(cfg, np.random.default_rng(0))
@@ -297,3 +314,28 @@ class TestBridge:
         outs = [gfb_transfer(model, x, s, cond, gamma=g).output for g in (0.0, 1.0, 2.0)]
         assert not np.array_equal(outs[0], outs[1])
         assert not np.array_equal(outs[1], outs[2])
+
+    @pytest.mark.parametrize("per_row", [False, True])
+    def test_decode_context_rows(self, per_row, monkeypatch):
+        # A condition shared by the batch builds every context on one row; a
+        # per-row condition builds the conditional contexts on all B rows.
+        model = self._model()
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((6, 4)).astype(np.float32)
+        cond = np.full((6, 1), 0.5, dtype=np.float32)
+        if per_row:
+            cond[:, 0] = np.linspace(-1.0, 1.0, 6)
+        built = []
+        context = model._context
+
+        def spy(tau, condition, present):
+            built.append((condition is not None, tau.shape[0]))
+            return context(tau, condition, present)
+
+        monkeypatch.setattr(model, "_context", spy)
+        gfb_transfer(model, x, schedule_raised_cosine(4), cond, gamma=1.5)
+        # 4 encode calls, then 4 decode steps of a null and a conditional call.
+        assert len(built) == 12
+        cond_rows = {rows for has_cond, rows in built if has_cond}
+        assert {rows for has_cond, rows in built if not has_cond} == {1}
+        assert cond_rows == ({6} if per_row else {1})

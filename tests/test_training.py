@@ -1,5 +1,7 @@
 """Tests for the training loop."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,20 @@ class TestTrain:
         for pa, pb in zip(a.model.parameters(), b.model.parameters()):
             assert np.array_equal(pa.data, pb.data)
         assert a.history == b.history
+
+    def test_conditional_training_golden_digest(self):
+        """A short conditional training with condition dropout gives bit for bit
+        the loss history and parameters it has always given: a forward in
+        training builds the context per row, whatever sampling shares."""
+        cfg = _small(iterations=20, log_every=1, cond_dropout=0.2)
+        result = train(_planar_model(cond_dim=1), TaskSpec("cond_ring"), cfg)
+        h = hashlib.sha256()
+        h.update(np.array([loss for _, loss in result.history]).tobytes())
+        for name, p in result.model.params.items():
+            h.update(name.encode())
+            h.update(p.data.tobytes())
+        assert len(result.history) == 20
+        assert h.hexdigest() == "1fb70752038a9beb98629e965235048084ae53379e181d0f616052eb14913894"
 
     def test_seeds_change_outcome(self):
         a = train(_planar_model(), TaskSpec("two_moons"), _small(seed=0))
