@@ -80,7 +80,10 @@ def _parse_float(flag: str, text: str) -> float:
 def _parse_condition(text: str | None, batch: int, cond_dim: int):
     if text is None:
         return None
-    values = np.array(_parse_floats("--condition", text), dtype=np.float32)
+    with np.errstate(over="ignore"):
+        values = np.array(_parse_floats("--condition", text), dtype=np.float32)
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"--condition overflows float32: {text!r}")
     if values.shape[0] != cond_dim:
         raise ConfigError(f"condition has {values.shape[0]} values, model expects {cond_dim}")
     return np.tile(values[None, :], (batch, 1))

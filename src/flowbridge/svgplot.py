@@ -7,8 +7,8 @@ standalone SVG document string.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from html import escape
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -143,18 +143,19 @@ class SvgFigure:
         if self.title:
             parts.append(
                 f'<text x="{w / 2:.2f}" y="{mt - 14:.2f}" font-size="14" '
-                f'text-anchor="middle" fill="#111">{escape(self.title)}</text>'
+                f'text-anchor="middle" fill="#111">{escape(self.title, quote=False)}</text>'
             )
         if self.xlabel:
             parts.append(
                 f'<text x="{(ml + w - mr) / 2:.2f}" y="{h - 8:.2f}" font-size="12" '
-                f'text-anchor="middle" fill="#111">{escape(self.xlabel)}</text>'
+                f'text-anchor="middle" fill="#111">{escape(self.xlabel, quote=False)}</text>'
             )
         if self.ylabel:
             cy = (mt + h - mb) / 2
             parts.append(
                 f'<text x="14" y="{cy:.2f}" font-size="12" text-anchor="middle" '
-                f'transform="rotate(-90 14 {cy:.2f})" fill="#111">{escape(self.ylabel)}</text>'
+                f'transform="rotate(-90 14 {cy:.2f})" fill="#111">'
+                f"{escape(self.ylabel, quote=False)}</text>"
             )
 
         for s in self._series:
@@ -188,7 +189,7 @@ class SvgFigure:
                 )
                 parts.append(
                     f'<text x="{lx + 28:.2f}" y="{yy + 4:.2f}" font-size="11" '
-                    f'fill="#111">{escape(s.label)}</text>'
+                    f'fill="#111">{escape(s.label, quote=False)}</text>'
                 )
         parts.append("</svg>")
         return "\n".join(parts)

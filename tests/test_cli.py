@@ -2,6 +2,7 @@
 
 import json
 import struct
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -268,24 +269,46 @@ def test_bridge_command(planar_run, tmp_path, capsys):
     assert summary.startswith("bridged 4 signals (steps=4); ") and "gamma" not in summary
 
 
-def test_bridge_summary_names_gamma_under_a_condition(tmp_path, capsys):
-    cfg_path = tmp_path / "cfg.json"
+@pytest.fixture(scope="module")
+def ring_run(tmp_path_factory):
+    """A 2-iteration cond_ring checkpoint: a model with a one-value condition."""
+    root = tmp_path_factory.mktemp("ring")
+    cfg_path = root / "cfg.json"
     cfg_path.write_text(json.dumps({
         "task": {"family": "cond_ring"},
         "model": {"hidden": 8, "depth": 1},
         "train": {"iterations": 2, "batch_size": 4},
     }))
-    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "ring")]) == 0
+    assert main(["train", "--config", str(cfg_path), "--out", str(root / "run")]) == 0
+    return root / "run"
+
+
+def test_bridge_summary_names_gamma_under_a_condition(ring_run, tmp_path, capsys):
     sig_path = tmp_path / "in.fbs"
     save_signals(sig_path, np.full((3, 2), 0.5, dtype=np.float32))
     capsys.readouterr()
     rc = main([
-        "bridge", "--checkpoint", str(tmp_path / "ring" / "model.fbc"),
+        "bridge", "--checkpoint", str(ring_run / "model.fbc"),
         "--input", str(sig_path), "--out", str(tmp_path / "b"), "--steps", "4",
         "--condition", "0.5", "--gamma", "1.5",
     ])
     assert rc == 0
     assert capsys.readouterr().out.startswith("bridged 3 signals (gamma=1.5, steps=4); ")
+
+
+def test_bridge_condition_overflowing_float32(ring_run, tmp_path, capsys):
+    # 1e39 is finite in float64 but not in float32, the dtype the model reads.
+    sig_path = tmp_path / "in.fbs"
+    save_signals(sig_path, np.full((3, 2), 0.5, dtype=np.float32))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([
+            "bridge", "--checkpoint", str(ring_run / "model.fbc"),
+            "--input", str(sig_path), "--out", str(tmp_path / "b"),
+            "--condition", "1e39",
+        ])
+    _assert_one_error_line(rc, capsys, "--condition overflows float32")
 
 
 def test_bridge_summary_of_float32_extremes(planar_run, tmp_path, capsys):

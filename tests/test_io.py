@@ -182,7 +182,7 @@ class TestSvgFigure:
         xs = np.arange(10)
         fig.line(xs, np.exp(-xs / 3.0), label="a & b")
         fig.band(xs, np.exp(-xs / 3.0) - 0.05, np.exp(-xs / 3.0) + 0.05)
-        fig.line(xs, np.exp(-xs / 2.0), label="fast")
+        fig.line(xs, np.exp(-xs / 2.0), label='"fast" > slow')
         return fig
 
     def test_renders_well_formed_xml(self):
@@ -195,6 +195,8 @@ class TestSvgFigure:
         assert "<polygon" in svg
         assert "loss &lt; curve" in svg
         assert "a &amp; b" in svg
+        # text content escapes & < > only; quotes stay as they are
+        assert '"fast" &gt; slow' in svg
         # an uncoloured band takes the colour of the line drawn after it
         ns = {"s": "http://www.w3.org/2000/svg"}
         root = ET.fromstring(svg)
