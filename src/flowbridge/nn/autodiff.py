@@ -2,7 +2,10 @@
 
 A Tensor wraps an ndarray plus a backward closure; calling backward() on an
 output walks the tape in reverse topological order and accumulates gradients
-into every tensor created with requires_grad=True. The ops are the ones the
+into every tensor created with requires_grad=True. The walk consumes the tape:
+each node drops its closure, its parents and its gradient once its closure has
+run, so an intermediate is freed as soon as the walk has passed it, and one
+forward supports one backward. The ops are the ones the
 vector-field models need, one tape node per layer: ``add``, ``matmul`` and
 ``conv1d`` (both take their bias), ``silu``, ``where``, ``film`` (a whole
 FiLM modulation), ``concat`` and ``reshape``.
@@ -18,6 +21,8 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 import numpy as np
+
+from ..exceptions import ShapeError
 
 __all__ = [
     "Tensor",
@@ -71,7 +76,16 @@ class Tensor:
         self.grad = None
 
     def backward(self, grad: np.ndarray | None = None):
-        """Seed this tensor with grad (ones if omitted) and propagate."""
+        """Seed this tensor with grad (ones if omitted) and propagate.
+
+        grad must have this tensor's shape. Every consumer of a node runs
+        before the node itself, so once a node's closure has run nothing reads
+        its closure, parents or gradient again: they are dropped then. Leaves
+        created with requires_grad=True keep their gradients.
+        """
+        grad = np.ones_like(self.data) if grad is None else np.asarray(grad, dtype=self.data.dtype)
+        if grad.shape != self.data.shape:
+            raise ShapeError(f"seed gradient {grad.shape} does not match output {self.data.shape}")
         topo: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -86,12 +100,15 @@ class Tensor:
             stack.append((node, True))
             for p in node._parents:
                 stack.append((p, False))
-        if grad is None:
-            grad = np.ones_like(self.data)
-        self.grad = np.asarray(grad, dtype=self.data.dtype)
-        for node in reversed(topo):
+        self.grad = grad
+        while topo:
+            node = topo.pop()
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+            node._backward = None
+            node._parents = ()
+            if not node.requires_grad:
+                node.grad = None
 
 
 def _accumulate(t: Tensor, g: np.ndarray):
@@ -151,6 +168,13 @@ def where(cond: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     return _node(np.where(cond, a.data, b.data), (a, b), backward)
 
 
+def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a: (M, C), b: (B, C, L). Over C = 1 it is a broadcast product:
+    the same single product per entry, which numpy's matmul takes several
+    times longer to form."""
+    return a * b if a.shape[1] == 1 else a @ b
+
+
 def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Same-padded 1-D convolution (cross-correlation), odd kernel only.
 
@@ -158,9 +182,10 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     in the dtype of x and w.
 
     Computed as K shifted batched matmuls over the zero-padded input xpad:
-    y = sum_j w[:, :, j] @ xpad[:, :, j:j+L] + b. Each shifted window is a
-    strided view that BLAS reads in place. Backward keeps only xpad (no
-    im2col column buffer): gw[:, :, j] = sum_b g @ xpad[:, :, j:j+L].T, and
+    y = sum_j w[:, :, j] @ xpad[:, :, j:j+L] + b, taps added in increasing j.
+    Each shifted window is a strided view that BLAS reads in place. The tape
+    keeps no copy of xpad (x holds the data) and no im2col column buffer:
+    backward pads x again, gw[:, :, j] = sum_b g @ xpad[:, :, j:j+L].T, and
     the input gradient accumulates w[:, :, j].T @ g into a padded buffer at
     offset j, which is then cropped.
     """
@@ -170,20 +195,21 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     pad = k // 2
     length = x.data.shape[2]
     xpad = np.pad(x.data, ((0, 0), (0, 0), (pad, pad)))
-    y = w.data[:, :, 0] @ xpad[:, :, :length]
+    y = _contract(w.data[:, :, 0], xpad[:, :, :length])
     for j in range(1, k):
-        y += w.data[:, :, j] @ xpad[:, :, j : j + length]
+        y += _contract(w.data[:, :, j], xpad[:, :, j : j + length])
     y += b.data[:, None]
 
     def backward(g):
         _accumulate(b, g.sum(axis=(0, 2)))
+        xpad = np.pad(x.data, ((0, 0), (0, 0), (pad, pad)))
         gw = np.empty_like(w.data)
         for j in range(k):
             gw[:, :, j] = (g @ xpad[:, :, j : j + length].transpose(0, 2, 1)).sum(axis=0)
         _accumulate(w, gw)
         gxpad = np.zeros_like(xpad)
         for j in range(k):
-            gxpad[:, :, j : j + length] += w.data[:, :, j].T @ g
+            gxpad[:, :, j : j + length] += _contract(w.data[:, :, j].T, g)
         _accumulate(x, gxpad[:, :, pad : pad + length])
 
     return _node(y, (x, w, b), backward)

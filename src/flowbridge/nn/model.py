@@ -8,6 +8,7 @@ every residual block through per-block scale-and-shift.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,14 +52,21 @@ class ModelConfig:
         return _DTYPES[self.dtype]
 
 
+@functools.lru_cache(maxsize=8)
+def _frequencies(n_features: int, max_freq: float) -> np.ndarray:
+    """time_embedding's frequency table, computed once per (n_features, max_freq)."""
+    freqs = np.geomspace(1.0, max_freq, n_features)
+    freqs.flags.writeable = False
+    return freqs
+
+
 def time_embedding(tau: np.ndarray, n_features: int, max_freq: float, dtype) -> np.ndarray:
     """Sinusoidal features of the flow time: (B,) -> (B, 2*n_features).
 
     Frequencies are geometrically spaced from 1 to max_freq cycles over the
     unit interval.
     """
-    freqs = np.geomspace(1.0, max_freq, n_features)
-    ang = 2.0 * np.pi * tau[:, None] * freqs[None, :]
+    ang = 2.0 * np.pi * tau[:, None] * _frequencies(n_features, max_freq)[None, :]
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1).astype(dtype)
 
 

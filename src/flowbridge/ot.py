@@ -153,7 +153,11 @@ def solve_sinkhorn(
     g = np.zeros(m)
 
     def kernel(eps):
-        return np.exp((f[:, None] + g[None, :] - cv) / eps)
+        # exp((f + g - C) / eps), built in one buffer.
+        k = f[:, None] + g[None, :]
+        k -= cv
+        k /= eps
+        return np.exp(k, out=k)
 
     def scale(k, eps, sweeps):
         # Row then column scaling per sweep, absorbed into the potentials.
@@ -194,17 +198,18 @@ def solve_sinkhorn(
 
 
 def _round_to_uniform(pi: np.ndarray, m: int) -> np.ndarray:
-    """Project a near-feasible plan onto exact uniform marginals (AWR rounding)."""
+    """Project a near-feasible plan onto exact uniform marginals (AWR rounding),
+    in place."""
     target = 1.0 / m
     rows = pi.sum(axis=1)
-    pi = pi * np.minimum(target / np.where(rows > 0, rows, 1.0), 1.0)[:, None]
+    pi *= np.minimum(target / np.where(rows > 0, rows, 1.0), 1.0)[:, None]
     cols = pi.sum(axis=0)
-    pi = pi * np.minimum(target / np.where(cols > 0, cols, 1.0), 1.0)[None, :]
+    pi *= np.minimum(target / np.where(cols > 0, cols, 1.0), 1.0)[None, :]
     err_r = np.maximum(target - pi.sum(axis=1), 0.0)
     err_c = np.maximum(target - pi.sum(axis=0), 0.0)
     missing = err_r.sum()
     if missing > 0:
-        pi = pi + np.outer(err_r, err_c) / missing
+        pi += np.outer(err_r, err_c) / missing
     np.maximum(pi, 0.0, out=pi)
     return pi
 

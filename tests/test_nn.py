@@ -9,6 +9,7 @@ import json
 import struct
 import tempfile
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -259,6 +260,41 @@ class TestAutodiffOps:
         y = ad.add(ad.matmul(x, x, Tensor(np.zeros(1))), x)
         y.backward()
         assert np.allclose(x.grad, [[7.0]])
+
+
+    def test_backward_rejects_a_seed_of_another_shape(self):
+        # A (4,) or scalar seed would broadcast over a (3, 4) output.
+        x = Tensor(np.zeros((3, 4)), requires_grad=True)
+        for seed in (np.ones(4), 1.0):
+            with pytest.raises(ShapeError, match="seed gradient"):
+                ad.silu(x).backward(seed)
+        assert x.grad is None
+
+    def test_backward_consumes_the_tape(self):
+        # out = silu(x @ w + b) + x. Each intermediate drops its parents,
+        # closure and gradient once the walk has passed it, so one nothing
+        # else holds is freed during backward, with its data (Tensor has
+        # slots and no weakref slot, so the weak reference is to the array).
+        # The leaves keep their gradients.
+        rng = np.random.default_rng(9)
+        x, w, b = (Tensor(rng.standard_normal(s), requires_grad=True) for s in ((3, 4), (4, 4), (4,)))
+        h = ad.matmul(x, w, b)
+        s = ad.silu(h)
+        out = ad.add(s, x)
+        freed = weakref.ref(h.data)
+        del h
+        g = rng.standard_normal((3, 4))
+        out.backward(g)
+        assert freed() is None
+        for node in (out, s):
+            assert node._parents == () and node._backward is None and node.grad is None
+        # The gradients a retained tape gives, computed by the same formulas.
+        hd = x.data @ w.data + b.data
+        sig = 0.5 * (1.0 + np.tanh(0.5 * hd))
+        gh = g * sig * (1.0 + hd * (1.0 - sig))
+        assert np.array_equal(b.grad, gh.sum(axis=0))
+        assert np.array_equal(w.grad, x.data.T @ gh)
+        assert np.array_equal(x.grad, g + gh @ w.data.T)
 
 
 class TestTimeEmbedding:

@@ -108,6 +108,24 @@ class TestTrain:
         assert len(result.history) == 20
         assert h.hexdigest() == "1fb70752038a9beb98629e965235048084ae53379e181d0f616052eb14913894"
 
+    def test_conv_sinkhorn_training_golden_digest(self):
+        """A short conv-backbone reverb training under Sinkhorn chunked OT gives
+        bit for bit the loss history and parameters it has always given: it
+        pins conv1d (both one-channel convs included), the Sinkhorn solver and
+        the tape walk."""
+        cfg = _small(iterations=10, batch_size=8, log_every=1, coupling="chunked_ot",
+                     chunk_size=16, ot_method="sinkhorn", sinkhorn_epsilon=1.0)
+        mc = ModelConfig(signal_length=64, backbone="conv", hidden=8, depth=2, kernel_size=5,
+                         cond_dim=2)
+        result = train(mc, TaskSpec("toy_signal", n=64, degradation="reverb"), cfg)
+        h = hashlib.sha256()
+        h.update(np.array([loss for _, loss in result.history]).tobytes())
+        for name, p in result.model.params.items():
+            h.update(name.encode())
+            h.update(p.data.tobytes())
+        assert len(result.history) == 10
+        assert h.hexdigest() == "fe3fa8b7f4147fff48f3b31acfae44cf54e34851dfdcefdf960f138b6fb0cc15"
+
     def test_seeds_change_outcome(self):
         a = train(_planar_model(), TaskSpec("two_moons"), _small(seed=0))
         b = train(_planar_model(), TaskSpec("two_moons"), _small(seed=1))
