@@ -10,6 +10,11 @@ vector-field models need, one tape node per layer: ``add``, ``matmul`` and
 ``conv1d`` (both take their bias), ``silu``, ``where``, ``film`` (a whole
 FiLM modulation), ``concat`` and ``reshape``.
 
+An op joins the tape only when one of its inputs is on it (a tensor with
+requires_grad=True, or an op output on the tape), and ``matmul`` and
+``conv1d`` form an input gradient only for an input on the tape, so no
+gradient is formed that nothing reads.
+
 Inside a ``no_grad()`` block no tape is recorded: every op returns a Tensor
 with no parents and no backward closure, so each intermediate is freed as
 soon as the next op has used it. Sampling runs the model this way; the same
@@ -111,17 +116,23 @@ class Tensor:
                 node.grad = None
 
 
+def _on_tape(t: Tensor) -> bool:
+    """Whether a gradient of t has a reader: t requires_grad, or t is an op output on the tape."""
+    return t.requires_grad or bool(t._parents)
+
+
 def _accumulate(t: Tensor, g: np.ndarray):
-    if not (t.requires_grad or t._parents):
+    if not _on_tape(t):
         return
     g = g.astype(t.data.dtype, copy=False)
     t.grad = g if t.grad is None else t.grad + g
 
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
-    """An op's output; it joins the tape only while gradients are enabled."""
+    """An op's output; it joins the tape only while gradients are enabled and
+    some parent is on the tape, so an op on plain inputs records nothing."""
     out = Tensor(data)
-    if _grad_enabled:
+    if _grad_enabled and any(_on_tape(p) for p in parents):
         out._parents = parents
         out._backward = backward
     return out
@@ -143,7 +154,8 @@ def matmul(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         _accumulate(b, g.sum(axis=0))
         _accumulate(w, x.data.T @ g)
-        _accumulate(x, g @ w.data.T)
+        if _on_tape(x):
+            _accumulate(x, g @ w.data.T)
 
     return _node(y, (x, w, b), backward)
 
@@ -185,9 +197,9 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     y = sum_j w[:, :, j] @ xpad[:, :, j:j+L] + b, taps added in increasing j.
     Each shifted window is a strided view that BLAS reads in place. The tape
     keeps no copy of xpad (x holds the data) and no im2col column buffer:
-    backward pads x again, gw[:, :, j] = sum_b g @ xpad[:, :, j:j+L].T, and
-    the input gradient accumulates w[:, :, j].T @ g into a padded buffer at
-    offset j, which is then cropped.
+    backward pads x again, gw[:, :, j] = sum_b g @ xpad[:, :, j:j+L].T, and,
+    when x is on the tape, the input gradient accumulates w[:, :, j].T @ g
+    into a padded buffer at offset j, which is then cropped.
     """
     k = w.data.shape[2]
     if k % 2 != 1:
@@ -207,10 +219,11 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         for j in range(k):
             gw[:, :, j] = (g @ xpad[:, :, j : j + length].transpose(0, 2, 1)).sum(axis=0)
         _accumulate(w, gw)
-        gxpad = np.zeros_like(xpad)
-        for j in range(k):
-            gxpad[:, :, j : j + length] += _contract(w.data[:, :, j].T, g)
-        _accumulate(x, gxpad[:, :, pad : pad + length])
+        if _on_tape(x):
+            gxpad = np.zeros_like(xpad)
+            for j in range(k):
+                gxpad[:, :, j : j + length] += _contract(w.data[:, :, j].T, g)
+            _accumulate(x, gxpad[:, :, pad : pad + length])
 
     return _node(y, (x, w, b), backward)
 

@@ -54,8 +54,9 @@ class Assignment:
 
     def __post_init__(self):
         s = self.sigma
-        m = s.shape[0]
-        if s.ndim != 1 or np.any(np.sort(s) != np.arange(m)):
+        if s.ndim != 1:
+            raise ShapeError(f"sigma must be 1-D, got shape {s.shape}")
+        if s.dtype.kind not in "iu" or np.any(np.sort(s) != np.arange(s.shape[0])):
             raise ValidationError("sigma must be a permutation of 0..M-1")
 
 
@@ -110,18 +111,76 @@ def cost_matrix(a: np.ndarray, b: np.ndarray) -> CostMatrix:
 def solve_exact(c: CostMatrix) -> Assignment:
     """Minimum-cost assignment by shortest augmenting paths (Jonker-Volgenant).
 
-    With uniform marginals EMD is an assignment problem, solved here on C
-    minus its column minima: each assignment uses every column once, so all
-    costs shift alike, the optimum stays, and the solver starts from feasible
-    column duals. Ties go to the lowest column index of the reduced matrix;
+    With uniform marginals EMD is an assignment problem. It is solved on C
+    reduced by approximate dual potentials: C - g[None, :] minus each row's
+    minimum, with g from a short annealed Sinkhorn. Each assignment uses
+    every row and column once, so all costs shift alike and the optimum
+    stays; near-optimal duals only shorten the augmenting-path searches.
+    Ties go to the lowest column index of the dual-reduced matrix;
     deterministic: same input, same permutation.
     """
     # Imported here: scipy.optimize costs about 50 MB of RSS and 0.5 s that only
     # this solver needs, so a process that never solves one never pays.
     from scipy.optimize import linear_sum_assignment
 
-    _, cols = linear_sum_assignment(c.values - c.values.min(axis=0))
+    _, cols = linear_sum_assignment(_dual_reduced(c.values))
     return Assignment(cols)
+
+
+# The warm start of solve_exact: epsilon falls from max(C) by this factor per
+# stage, down to this fraction of mean(C), with this many sweeps per stage.
+_WARM_SHRINK = 8.0
+_WARM_FLOOR = 1e-2
+_WARM_SWEEPS = 3
+
+
+def _dual_reduced(cv: np.ndarray) -> np.ndarray:
+    """C - g[None, :] minus each row's minimum, in one new float64 buffer.
+
+    g are the column potentials of a short annealed Sinkhorn. A cost with
+    zero scale, or a non-finite g, leaves g at zero, so the reduction is
+    exact whatever the duals.
+    """
+    m = cv.shape[0]
+    k = np.empty(cv.shape)
+    g = np.zeros(m)
+    # Costs near the float64 limit can overflow the mean (one stage then
+    # runs) or the potentials (the check below then zeroes g).
+    with np.errstate(all="ignore"):
+        floor = _WARM_FLOOR * float(cv.mean())
+        if floor > 0:
+            f = np.zeros(m)
+            eps = float(cv.max())
+            while True:
+                f, g = _scale(_kernel(cv, f, g, eps, out=k), f, g, eps, _WARM_SWEEPS)
+                if eps <= floor:
+                    break
+                eps = max(eps / _WARM_SHRINK, floor)
+    if not np.all(np.isfinite(g)):
+        g = np.zeros(m)
+    np.subtract(cv, g[None, :], out=k)
+    k -= k.min(axis=1)[:, None]
+    return k
+
+
+def _kernel(cv: np.ndarray, f: np.ndarray, g: np.ndarray, eps: float, out=None) -> np.ndarray:
+    """exp((f + g - C) / eps), built in one buffer (``out`` when given)."""
+    k = np.add(f[:, None], g[None, :], out=out)
+    k -= cv
+    k /= eps
+    return np.exp(k, out=k)
+
+
+def _scale(k: np.ndarray, f: np.ndarray, g: np.ndarray, eps: float, sweeps: int):
+    """Row then column scaling of kernel k per sweep, absorbed into the
+    potentials: returns the new (f, g)."""
+    m = k.shape[0]
+    marg = 1.0 / m
+    v = np.ones(m)
+    for _ in range(sweeps):
+        u = marg / (k @ v)
+        v = marg / (u @ k)
+    return f + eps * np.log(u), g + eps * np.log(v)
 
 
 def solve_sinkhorn(
@@ -152,41 +211,24 @@ def solve_sinkhorn(
     f = np.zeros(m)
     g = np.zeros(m)
 
-    def kernel(eps):
-        # exp((f + g - C) / eps), built in one buffer.
-        k = f[:, None] + g[None, :]
-        k -= cv
-        k /= eps
-        return np.exp(k, out=k)
-
-    def scale(k, eps, sweeps):
-        # Row then column scaling per sweep, absorbed into the potentials.
-        nonlocal f, g
-        v = np.ones(m)
-        for _ in range(sweeps):
-            u = marg / (k @ v)
-            v = marg / (u @ k)
-        f = f + eps * np.log(u)
-        g = g + eps * np.log(v)
-
     cmax = float(cv.max())
     if cmax > epsilon:
         # Geometric annealing from max(C) down to the target epsilon.
         n_stages = int(np.ceil(np.log2(cmax / epsilon)))
         for s in range(n_stages):
             eps_s = cmax * (epsilon / cmax) ** ((s + 1) / (n_stages + 1))
-            scale(kernel(eps_s), eps_s, 15)
+            f, g = _scale(_kernel(cv, f, g, eps_s), f, g, eps_s, 15)
 
     # With the scalings absorbed, the kernel at epsilon is the current plan.
-    pi = kernel(epsilon)
+    pi = _kernel(cv, f, g, epsilon)
     residual = np.inf
     iterations = 0
     converged = False
     while iterations < max_iter:
         sweeps = min(10, max_iter - iterations)
-        scale(pi, epsilon, sweeps)
+        f, g = _scale(pi, f, g, epsilon, sweeps)
         iterations += sweeps
-        pi = kernel(epsilon)
+        pi = _kernel(cv, f, g, epsilon)
         # Column sums are exact after a column scaling; rows carry the error.
         residual = float(np.abs(pi.sum(axis=1) - marg).max())
         if residual < tol:
@@ -236,8 +278,9 @@ def plan_to_pairs(plan: TransportPlan, rng: np.random.Generator) -> np.ndarray:
 def transport_cost(c: CostMatrix, solution: Assignment | TransportPlan | np.ndarray) -> float:
     """Objective value of a coupling on assignment scale.
 
-    Assignments (or raw pairing index arrays) score sum_i C[i, sigma(i)];
-    plans score <pi, C> * M so both are directly comparable.
+    Assignments (or raw pairing index arrays, whose columns may repeat but
+    must be integers in 0..M-1) score sum_i C[i, sigma(i)]; plans score
+    <pi, C> * M so both are directly comparable.
     """
     cv = c.values
     if isinstance(solution, TransportPlan):
@@ -247,4 +290,6 @@ def transport_cost(c: CostMatrix, solution: Assignment | TransportPlan | np.ndar
     sigma = solution.sigma if isinstance(solution, Assignment) else np.asarray(solution)
     if sigma.shape != (c.m,):
         raise ShapeError(f"pairing length {sigma.shape} != cost matrix size {c.m}")
+    if sigma.dtype.kind not in "iu" or np.any((sigma < 0) | (sigma >= c.m)):
+        raise ValidationError(f"pairing must hold integer column indices in 0..{c.m - 1}")
     return float(cv[np.arange(c.m), sigma].sum())

@@ -168,6 +168,55 @@ class TestSolveExact:
         with pytest.raises(ValidationError):
             Assignment(np.array([0, 0, 2]))
 
+    def test_assignment_rejects_malformed_sigma(self):
+        with pytest.raises(ShapeError):
+            Assignment(np.array(3))
+        with pytest.raises(ValidationError):
+            Assignment(np.array([0.0, 1.0, 2.0]))
+
+    @pytest.mark.parametrize(
+        "values",
+        [np.zeros((5, 5)), np.full((5, 5), 2.5), np.zeros((1, 1)), np.full((1, 1), 3.0)],
+        ids=["zero", "constant", "m1_zero", "m1"],
+    )
+    def test_degenerate_costs(self, values):
+        # A zero cost has no scale for the warm start's epsilon; under a
+        # constant one every assignment is optimal. The solve still returns an
+        # optimal permutation, the same on every call.
+        c = CostMatrix(values)
+        first = solve_exact(c).sigma
+        assert transport_cost(c, first) == transport_cost(c, _reference_assignment(c))
+        for _ in range(3):
+            assert np.array_equal(solve_exact(c).sigma, first)
+
+    def test_integer_costs_with_ties(self):
+        # Many assignments share the optimal cost; any one may be returned,
+        # but always the same one.
+        rng = np.random.default_rng(10)
+        for m in (6, 17, 40):
+            c = CostMatrix(rng.integers(0, 4, (m, m)))
+            sigma = solve_exact(c).sigma
+            assert transport_cost(c, sigma) == transport_cost(c, _reference_assignment(c))
+            assert np.array_equal(solve_exact(c).sigma, sigma)
+
+    def test_far_outlier(self):
+        # One point at 1e4 puts max(C) near 1e8 and the warm start's last
+        # epsilon near 3e4, far above every other cost, so the duals carry
+        # almost nothing about the other 63 points.
+        rng = np.random.default_rng(12)
+        a, b = _random_points(rng, 64, 2)
+        a[0] = 1e4
+        c = cost_matrix(a, b)
+        assert np.array_equal(solve_exact(c).sigma, _reference_assignment(c))
+
+    def test_non_finite_duals_are_dropped(self, monkeypatch):
+        def nan_scale(k, f, g, eps, sweeps):
+            return np.full_like(f, np.nan), np.full_like(g, np.nan)
+
+        monkeypatch.setattr("flowbridge.ot._scale", nan_scale)
+        c = cost_matrix(*_random_points(np.random.default_rng(11), 20, 2))
+        assert np.array_equal(solve_exact(c).sigma, _reference_assignment(c))
+
 
 class TestSolveSinkhorn:
     def test_marginals_are_uniform(self):
@@ -297,8 +346,26 @@ _clustered_sets = st.integers(0, 2**32 - 1).map(np.random.default_rng).map(
 )
 
 
+
+def _ring_pair(seed, m, noise):
+    """Two noisy draws of the radius-1.5 ring: what `empirical_w2` solves in a ring bridge."""
+    rng = np.random.default_rng(seed)
+
+    def ring():
+        theta = rng.uniform(0.0, 2.0 * np.pi, m)
+        points = 1.5 * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        return (points + noise * rng.standard_normal((m, 2))).astype(np.float32)
+
+    return ring(), ring()
+
+
+_ring_pairs = st.builds(
+    _ring_pair, st.integers(0, 2**32 - 1), st.integers(64, 512), st.floats(0.02, 0.05)
+)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(points=st.one_of(_point_sets, _clustered_sets))
+@given(points=st.one_of(_point_sets, _clustered_sets, _ring_pairs))
 def test_exact_matches_the_unreduced_solve(points):
     c = cost_matrix(*points)
     assert np.array_equal(solve_exact(c).sigma, _reference_assignment(c))
@@ -360,3 +427,14 @@ class TestTransportCost:
         c = cost_matrix(np.zeros((3, 2)), np.ones((3, 2)))
         with pytest.raises(ShapeError):
             transport_cost(c, Assignment(np.array([0, 1])))
+
+    @pytest.mark.parametrize(
+        "pairing",
+        [[-1, 0, 1], [0, 1, 3], [0.0, 1.0, 2.0], [True, False, True]],
+        ids=["negative", "past_end", "float", "bool"],
+    )
+    def test_malformed_pairing_rejected(self, pairing):
+        # A negative index would wrap to the last column.
+        c = cost_matrix(*_random_points(np.random.default_rng(31), 3, 2))
+        with pytest.raises(ValidationError, match="integer column indices"):
+            transport_cost(c, np.array(pairing))
