@@ -44,12 +44,7 @@ def cfm_loss(
     w = tau[:, None].astype(x0.dtype)
     xt = (1.0 - w) * x0 + w * x1
     target = x1 - x0
-    present = np.full(b, coupling.condition is not None)
-    if drop_condition is not None:
-        if drop_condition.shape != (b,):
-            raise ShapeError(f"drop_condition must be ({b},), got {drop_condition.shape}")
-        present = present & ~drop_condition
-    out = model.forward(xt, tau, coupling.condition, present)
+    out = model.forward(xt, tau, coupling.condition, drop=drop_condition)
     r = out.data - target.astype(out.data.dtype)
     loss = float(np.mean(r * r))
     out.backward(2.0 * r / r.size)

@@ -9,15 +9,17 @@ bit-exactly.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
 
 from ..config import build_config
 from ..exceptions import CheckpointError, ConfigError
-from .model import ModelConfig, VectorFieldModel
+from .model import ModelConfig, VectorFieldModel, param_layout
 
 __all__ = ["save_checkpoint", "load_checkpoint"]
 
@@ -53,7 +55,7 @@ def load_checkpoint(path: str | Path) -> tuple[VectorFieldModel, dict]:
         raise CheckpointError(f"{path}: truncated header")
     try:
         header = json.loads(raw[offset : offset + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8 or JSON, or an integer too long to parse
         raise CheckpointError(f"{path}: corrupt header ({exc})") from exc
     if not isinstance(header, dict):
         raise CheckpointError(f"{path}: header must be an object")
@@ -63,22 +65,31 @@ def load_checkpoint(path: str | Path) -> tuple[VectorFieldModel, dict]:
         config = build_config(ModelConfig, header.get("config"), "config")
     except ConfigError as exc:
         raise CheckpointError(f"{path}: invalid model config ({exc})") from exc
-    model = VectorFieldModel(config, np.random.default_rng(0))
-    expected = [[name, list(p.data.shape)] for name, p in model.params.items()]
-    if header.get("params") != expected:
+    # Check the header's layout and the payload length against the config
+    # before any parameter exists: a corrupt size must not allocate.
+    manifest = header.get("params")
+    expected = ([name, list(shape)] for name, shape, _ in param_layout(config))
+    try:
+        matches = isinstance(manifest, list) and all(
+            got == want for got, want in zip_longest(manifest, expected)
+        )
+    except OverflowError:  # a config size past the float range of the init scales
+        matches = False
+    if not matches:
         raise CheckpointError(f"{path}: parameter manifest does not match model config")
     extra = header.get("extra", {})
     if not isinstance(extra, dict):
         raise CheckpointError(f"{path}: extra metadata must be an object")
     wire = np.dtype(_WIRE[config.dtype])
+    nbytes = sum(math.prod(shape) for _, shape in manifest) * wire.itemsize
+    if offset + nbytes > len(raw):
+        raise CheckpointError(f"{path}: truncated payload")
+    if offset + nbytes != len(raw):
+        raise CheckpointError(f"{path}: {len(raw) - offset - nbytes} trailing bytes after payload")
 
+    model = VectorFieldModel(config, np.random.default_rng(0))
     for p in model.params.values():
-        nbytes = p.data.size * wire.itemsize
-        if offset + nbytes > len(raw):
-            raise CheckpointError(f"{path}: truncated payload")
         arr = np.frombuffer(raw, dtype=wire, count=p.data.size, offset=offset)
         p.data = arr.astype(config.np_dtype).reshape(p.data.shape)
-        offset += nbytes
-    if offset != len(raw):
-        raise CheckpointError(f"{path}: {len(raw) - offset} trailing bytes after payload")
+        offset += p.data.size * wire.itemsize
     return model, extra

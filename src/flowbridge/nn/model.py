@@ -9,6 +9,7 @@ every residual block through per-block scale-and-shift.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,7 @@ from ..exceptions import ConfigError, ShapeError, ValidationError
 from . import autodiff as ad
 from .autodiff import Tensor
 
-__all__ = ["ModelConfig", "VectorFieldModel", "time_embedding"]
+__all__ = ["ModelConfig", "VectorFieldModel", "param_layout", "time_embedding"]
 
 _DTYPES = {"float32": np.float32, "float64": np.float64}
 
@@ -70,6 +71,41 @@ def time_embedding(tau: np.ndarray, n_features: int, max_freq: float, dtype) -> 
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1).astype(dtype)
 
 
+def param_layout(config: ModelConfig):
+    """Yield (name, shape, init scale) per parameter in declaration order.
+
+    Declaration order is the init draw order and the serialization order; a
+    scale of 0 initializes to zeros. Nothing is allocated, so a checkpoint
+    header can be checked against it before any parameter exists.
+    """
+    h, d, e = config.hidden, config.depth, config.cond_embed
+    if config.cond_dim > 0:
+        yield "cond_w", (config.cond_dim, e), 1.0 / math.sqrt(config.cond_dim)
+        yield "cond_b", (e,), 0.0
+    yield "null_cond", (1, e), 0.02
+    ctx_in = 2 * config.time_features + e + 1
+    yield "ctx_w", (ctx_in, h), math.sqrt(2.0 / ctx_in)
+    yield "ctx_b", (h,), 0.0
+
+    # One layout for both backbones: the MLP is the conv backbone with
+    # kernel 1 whose single position holds the whole signal as channels.
+    dense = config.backbone == "mlp"
+    k = 1 if dense else config.kernel_size
+    c = config.signal_length if dense else 1
+
+    def mixer(w_name, b_name, c_in, c_out, width, scale):
+        yield w_name, (c_in, c_out) if dense else (c_out, c_in, width), scale
+        yield b_name, (c_out,), 0.0
+
+    yield from mixer("in_w", "in_b", c, h, k, 1.0 / math.sqrt(c * k))
+    for i in range(d):
+        yield f"film{i}_w", (h, 2 * h), 0.0
+        yield f"film{i}_b", (2 * h,), 0.0
+        yield from mixer(f"block{i}_w1", f"block{i}_b1", h, h, k, math.sqrt(2.0 / (h * k)))
+        yield from mixer(f"block{i}_w2", f"block{i}_b2", h, h, k, 1.0 / math.sqrt(h * k))
+    yield from mixer("out_w", "out_b", h, c, 1, 0.0)
+
+
 class VectorFieldModel:
     """Velocity network v(x, tau, condition) with learned null-condition handling.
 
@@ -83,44 +119,12 @@ class VectorFieldModel:
         self.config = config
         self.params: dict[str, Tensor] = {}
         dt = config.np_dtype
-        h, d = config.hidden, config.depth
-
-        def param(name, shape, scale):
+        for name, shape, scale in param_layout(config):
             if scale == 0.0:
                 data = np.zeros(shape, dtype=dt)
             else:
                 data = (rng.standard_normal(shape) * scale).astype(dt)
-            t = Tensor(data, requires_grad=True)
-            self.params[name] = t
-            return t
-
-        e = config.cond_embed
-        if config.cond_dim > 0:
-            param("cond_w", (config.cond_dim, e), 1.0 / np.sqrt(config.cond_dim))
-            param("cond_b", (e,), 0.0)
-        param("null_cond", (1, e), 0.02)
-        ctx_in = 2 * config.time_features + e + 1
-        param("ctx_w", (ctx_in, h), np.sqrt(2.0 / ctx_in))
-        param("ctx_b", (h,), 0.0)
-
-        # One layout for both backbones: the MLP is the conv backbone with
-        # kernel 1 whose single position holds the whole signal as channels.
-        n = config.signal_length
-        dense = config.backbone == "mlp"
-        k = 1 if dense else config.kernel_size
-        c = n if dense else 1
-
-        def mixer(w_name, b_name, c_in, c_out, width, scale):
-            param(w_name, (c_in, c_out) if dense else (c_out, c_in, width), scale)
-            param(b_name, (c_out,), 0.0)
-
-        mixer("in_w", "in_b", c, h, k, 1.0 / np.sqrt(c * k))
-        for i in range(d):
-            param(f"film{i}_w", (h, 2 * h), 0.0)
-            param(f"film{i}_b", (2 * h,), 0.0)
-            mixer(f"block{i}_w1", f"block{i}_b1", h, h, k, np.sqrt(2.0 / (h * k)))
-            mixer(f"block{i}_w2", f"block{i}_b2", h, h, k, 1.0 / np.sqrt(h * k))
-        mixer("out_w", "out_b", h, c, 1, 0.0)
+            self.params[name] = Tensor(data, requires_grad=True)
 
     def parameters(self) -> list[Tensor]:
         return list(self.params.values())
@@ -134,16 +138,8 @@ class VectorFieldModel:
         cfg = self.config
         dt = cfg.np_dtype
         rows = tau.shape[0]
-        if condition is not None and cfg.cond_dim == 0:
-            raise ValidationError("model was built without conditioning")
         temb = Tensor(time_embedding(tau, cfg.time_features, cfg.max_time_freq, dt))
-        if cfg.cond_dim > 0 and present.any():
-            if condition is None:
-                raise ValidationError("present flags set but no condition given")
-            if condition.shape != (rows, cfg.cond_dim):
-                raise ShapeError(
-                    f"condition must be ({rows}, {cfg.cond_dim}), got {condition.shape}"
-                )
+        if present.any():
             # Zero absent rows *before* the matmul so their payload (possibly
             # NaN) never reaches the parameters.
             cond_in = np.where(present[:, None], condition, 0.0).astype(dt)
@@ -159,12 +155,14 @@ class VectorFieldModel:
         x: np.ndarray,
         tau,
         condition: np.ndarray | None = None,
-        present: np.ndarray | None = None,
+        *,
+        drop: np.ndarray | None = None,
     ) -> Tensor:
         """Velocity prediction as a Tensor (call .backward on a seeded loss grad).
 
-        A scalar tau builds the context on one row when every row shares it;
-        a (B,) tau, as in training, always builds it per row.
+        Rows marked in drop (B,), or every row without a condition, run the
+        learned null branch. A scalar tau builds the context on one row when
+        every row shares it; a (B,) tau, as in training, always builds it per row.
         """
         cfg = self.config
         dt = cfg.np_dtype
@@ -174,21 +172,20 @@ class VectorFieldModel:
         tau = np.asarray(tau, dtype=dt)
         if not np.all((tau >= 0.0) & (tau <= 1.0)):
             raise ValidationError("tau must lie in [0, 1]")
-        if present is None:
-            present = np.full(b, condition is not None)
-        elif present.shape != (b,):
-            raise ShapeError(f"present must be ({b},), got {present.shape}")
+        if condition is not None and cfg.cond_dim == 0:
+            raise ValidationError("model was built without conditioning")
+        if condition is not None and condition.shape != (b, cfg.cond_dim):
+            raise ShapeError(f"condition must be ({b}, {cfg.cond_dim}), got {condition.shape}")
+        present = np.full(b, condition is not None)
+        if drop is not None:
+            if drop.shape != (b,):
+                raise ShapeError(f"drop must be ({b},), got {drop.shape}")
+            present &= ~drop
         # One shared context row, which film broadcasts: no row present, or
         # all present with equal condition rows (a NaN row never is equal).
         # A (B,) tau never pays for the row comparison.
         if tau.ndim == 0 and (
-            not present.any()
-            or (
-                present.all()
-                and condition is not None
-                and condition.shape == (b, cfg.cond_dim)
-                and np.all(condition == condition[:1])
-            )
+            not present.any() or (present.all() and np.all(condition == condition[:1]))
         ):
             if present.any():
                 condition = condition[:1]

@@ -98,6 +98,30 @@ class Trajectory:
         return self.velocities.shape[0]
 
 
+def _checked_inputs(model: VectorFieldModel, start: np.ndarray, condition, gamma: float):
+    """start and condition cast to the model dtype.
+
+    Raises ValidationError if either, or gamma, is non-finite in that dtype.
+    """
+    if start.ndim != 2:
+        raise ShapeError(f"start state must be (B, N), got {start.shape}")
+    dtype = model.config.np_dtype
+    name = np.dtype(dtype).name
+    # Cast before the check: a value past the model dtype's range becomes inf.
+    with np.errstate(over="ignore"):
+        start = np.asarray(start, dtype=dtype)
+        if condition is not None:
+            condition = np.asarray(condition, dtype=dtype)
+        gamma_cast = np.asarray(gamma, dtype=dtype)
+    if not np.all(np.isfinite(start)):
+        raise ValidationError(f"start state has non-finite values in {name}")
+    if condition is not None and not np.all(np.isfinite(condition)):
+        raise ValidationError(f"condition has non-finite values in {name}")
+    if not np.isfinite(gamma_cast):
+        raise ValidationError(f"gamma must be finite in {name}, got {gamma}")
+    return start, condition
+
+
 def integrate(
     model: VectorFieldModel,
     start: np.ndarray,
@@ -111,47 +135,36 @@ def integrate(
 
     direction "forward" walks the schedule from 0 to 1, "backward" from 1 to
     0 (negative steps). With a condition, the field is the guided combination
-    gamma * v_cond + (1 - gamma) * v_null; gamma = 1 and gamma = 0 skip the
-    second network evaluation. Without a condition only the null branch is
-    evaluated. The start state and condition are cast to the model dtype;
-    raises ValidationError, before any network evaluation, if either is then
-    non-finite or gamma is, and DivergenceError the first time a later state
-    goes non-finite.
+    gamma * v_cond + (1 - gamma) * v_null, evaluated once when gamma is 1 and
+    as the null branch alone when gamma is 0. Without a condition only the
+    null branch is evaluated. The start state, condition and gamma are cast
+    to the model dtype; raises ValidationError, before any network
+    evaluation, if any of them is then non-finite, and DivergenceError the
+    first time a later state goes non-finite.
     """
-    if start.ndim != 2:
-        raise ShapeError(f"start state must be (B, N), got {start.shape}")
-    dtype = model.config.np_dtype
-    # Cast before the check: a value past the model dtype's range becomes inf.
-    with np.errstate(over="ignore"):
-        x = start = np.asarray(start, dtype=dtype)
-        if condition is not None:
-            condition = np.asarray(condition, dtype=dtype)
-    if not np.all(np.isfinite(start)):
-        raise ValidationError(f"start state has non-finite values in {np.dtype(dtype).name}")
-    if condition is not None and not np.all(np.isfinite(condition)):
-        raise ValidationError(f"condition has non-finite values in {np.dtype(dtype).name}")
-    if not np.isfinite(gamma):
-        raise ValidationError(f"gamma must be finite, got {gamma}")
+    start, condition = _checked_inputs(model, start, condition, gamma)
+    x = start
     if method not in ("euler", "midpoint"):
         raise ValidationError(f"unknown method {method!r}")
     if direction not in ("forward", "backward"):
         raise ValidationError(f"unknown direction {direction!r}")
+    if gamma == 0.0:
+        condition = None
+    blend = condition is not None and gamma != 1.0
 
     taus = schedule.taus if direction == "forward" else schedule.taus[::-1]
     n_steps = schedule.n_steps
 
     def guided_field(x, tau):
-        if condition is None:
-            return model.velocity(x, tau, None)
-        if gamma == 1.0:
-            return model.velocity(x, tau, condition)
-        v_null = model.velocity(x, tau, None)
-        if gamma == 0.0:
-            return v_null
-        v_cond = model.velocity(x, tau, condition)
-        return gamma * v_cond + (1.0 - gamma) * v_null
+        v = model.velocity(x, tau, condition)
+        if blend:
+            v_null = model.velocity(x, tau, None)
+            # An overflow here surfaces as the DivergenceError below.
+            with np.errstate(over="ignore", invalid="ignore"):
+                v = gamma * v + (1.0 - gamma) * v_null
+        return v
 
-    velocities = np.empty((n_steps,) + x.shape, dtype=dtype)
+    velocities = np.empty((n_steps,) + x.shape, dtype=x.dtype)
     for i in range(n_steps):
         tau_cur, tau_next = float(taus[i]), float(taus[i + 1])
         dt = tau_next - tau_cur
@@ -161,7 +174,8 @@ def integrate(
             k1 = guided_field(x, tau_cur)
             mid_tau = min(max(tau_cur + 0.5 * dt, 0.0), 1.0)
             v = guided_field(x + (0.5 * dt) * k1, mid_tau)
-        x = x + dt * v
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = x + dt * v
         if not np.all(np.isfinite(x)):
             raise DivergenceError(step=i, tau=tau_next)
         velocities[i] = v
@@ -188,8 +202,10 @@ def gfb_transfer(
 
     The encode leg never sees the condition — the latent depends only on the
     input — so the same latent can be decoded under different conditions or
-    guidance weights.
+    guidance weights. The condition and gamma are checked with the other
+    inputs before the encode leg runs.
     """
+    _checked_inputs(model, x, condition, gamma)
     encode = integrate(model, x, schedule, direction="forward", method=method, condition=None)
     latent = encode.final
     decode = integrate(

@@ -114,9 +114,7 @@ def train(
             # TrainConfig sets sinkhorn_epsilon exactly when ot_method is "sinkhorn".
             cpl = couple_chunked_ot(batch, couple_rng, config.chunk_size, config.sinkhorn_epsilon)
         tau = tau_rng.random(config.batch_size)
-        drop = None
-        if task.cond_dim > 0 and config.cond_dropout > 0.0:
-            drop = drop_rng.random(config.batch_size) < config.cond_dropout
+        drop = drop_rng.random(config.batch_size) < config.cond_dropout
         model.zero_grad()
         loss = cfm_loss(model, cpl, tau, drop_condition=drop)
         if not np.isfinite(loss):

@@ -311,6 +311,39 @@ def test_bridge_condition_overflowing_float32(ring_run, tmp_path, capsys):
     _assert_one_error_line(rc, capsys, "--condition overflows float32")
 
 
+@pytest.mark.parametrize("command", ["bridge", "eval"])
+def test_gamma_overflowing_float32(ring_run, tmp_path, capsys, command):
+    # 1e39 is finite in float64 but not in float32, the dtype of the blend.
+    sig_path = tmp_path / "in.fbs"
+    save_signals(sig_path, np.full((3, 2), 0.5, dtype=np.float32))
+    argv = {
+        "bridge": ["--input", str(sig_path), "--condition", "0.5", "--gamma", "1e39"],
+        "eval": ["--gammas", "1,1e39", "--samples", "8", "--steps", "4"],
+    }[command]
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([command, "--checkpoint", str(ring_run / "model.fbc"),
+                   "--out", str(tmp_path / "o"), *argv])
+    _assert_one_error_line(rc, capsys, "gamma must be finite in float32")
+    assert not (tmp_path / "o").exists()
+
+
+def test_bridge_refuses_a_checkpoint_with_a_corrupt_size(planar_run, tmp_path, capsys):
+    raw = (planar_run / "model.fbc").read_bytes()
+    (header_len,) = struct.unpack_from("<I", raw, 12)
+    header = json.loads(raw[16 : 16 + header_len])
+    header["config"]["signal_length"] = 10**15
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    ckpt = tmp_path / "huge.fbc"
+    ckpt.write_bytes(raw[:12] + struct.pack("<I", len(blob)) + blob + raw[16 + header_len :])
+    sig_path = tmp_path / "in.fbs"
+    save_signals(sig_path, np.zeros((2, 2), dtype=np.float32))
+    rc = main(["bridge", "--checkpoint", str(ckpt), "--input", str(sig_path),
+               "--out", str(tmp_path / "b")])
+    _assert_one_error_line(rc, capsys, f"{ckpt}: parameter manifest does not match")
+
+
 def test_bridge_summary_of_float32_extremes(planar_run, tmp_path, capsys):
     # The norms of 1e30-sized rows overflow float32; the summary stays finite.
     sig_path = tmp_path / "in.fbs"

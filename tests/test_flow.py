@@ -98,7 +98,7 @@ class TestCfmLoss:
         w = tau[:, None].astype(np.float32)
         xt = (1.0 - w) * c.x0 + w * c.x1
         with no_grad():
-            v_drop = model.forward(xt, tau, c.condition, np.array([True, False])).data
+            v_drop = model.forward(xt, tau, c.condition, drop=drop).data
             loss_drop = cfm_loss(model, c, tau, drop_condition=drop)
         u = (c.x1 - c.x0).astype(np.float64)
         assert abs(loss_drop - float(np.mean((v_drop - u) ** 2))) <= 1e-12
@@ -114,10 +114,9 @@ class TestCfmLoss:
         w = tau[:, None].astype(np.float32)
         for cond_dim in (2, 0):
             c = _coupling(rng, b=2, cond_dim=cond_dim)
-            present = np.full(2, c.condition is not None)
             with no_grad():
                 xt = (1.0 - w) * c.x0 + w * c.x1
-                v = model.forward(xt, tau, c.condition, present).data
+                v = model.forward(xt, tau, c.condition).data
                 loss = cfm_loss(model, c, tau)
             assert loss == float(np.mean((v - (c.x1 - c.x0).astype(np.float64)) ** 2))
 
@@ -130,9 +129,9 @@ class TestCfmLoss:
         seen = []
         forward = model.forward
 
-        def spy(xt, tau, condition, present):
+        def spy(xt, tau, condition, drop):
             seen.append((xt, tau))
-            return forward(xt, tau, condition, present)
+            return forward(xt, tau, condition, drop=drop)
 
         monkeypatch.setattr(model, "forward", spy)
         taus = np.array([0.0, 0.3, 1.0])

@@ -6,6 +6,7 @@ second autodiff implementation.
 """
 
 import json
+import re
 import struct
 import tempfile
 import warnings
@@ -28,6 +29,7 @@ from flowbridge.nn import (
     time_embedding,
 )
 from flowbridge.nn import autodiff as ad
+from flowbridge.nn.model import param_layout
 
 
 def _fd_entry(f, arr, idx, h=1e-6):
@@ -351,15 +353,15 @@ class TestVectorFieldModel:
         u = rng.standard_normal((b, n))
         tau = rng.random(b)
         cond = rng.standard_normal((b, 3))
-        present = np.array([True, True, False, True])
+        drop = np.array([False, False, True, False])
 
         def loss():
             with ad.no_grad():
-                v = model.forward(x, tau, cond, present).data
+                v = model.forward(x, tau, cond, drop=drop).data
             return float(np.mean((v - u) ** 2))
 
         model.zero_grad()
-        out = model.forward(x, tau, cond, present)
+        out = model.forward(x, tau, cond, drop=drop)
         r = out.data - u
         out.backward(2.0 * r / r.size)
         names = list(model.params)
@@ -423,24 +425,31 @@ class TestVectorFieldModel:
         assert all(p.grad is not None for p in watched)
 
     def test_absent_condition_payload_cannot_poison(self):
-        # Rows flagged absent may carry NaN; output and gradients must stay
-        # finite and identical to a zero payload.
+        # Dropped rows may carry NaN; output and gradients must stay finite
+        # and identical to a zero payload.
         model = _make_model(cond_dim=2)
         rng = np.random.default_rng(12)
         x = rng.standard_normal((3, 8))
         cond = rng.standard_normal((3, 2))
-        present = np.array([True, False, True])
+        drop = np.array([False, True, False])
         with ad.no_grad():
-            clean = model.forward(x, 0.5, cond, present).data
+            clean = model.forward(x, 0.5, cond, drop=drop).data
         poisoned = cond.copy()
         poisoned[1, :] = np.nan
         model.zero_grad()
-        out = model.forward(x, 0.5, poisoned, present)
+        out = model.forward(x, 0.5, poisoned, drop=drop)
         assert np.array_equal(out.data, clean)
         out.backward(np.ones_like(out.data))
         for name, p in model.params.items():
             if p.grad is not None:
                 assert np.all(np.isfinite(p.grad)), name
+
+    def test_drop_is_keyword_only(self):
+        # A mask passed positionally (the old presence flags) is refused,
+        # never read as the rows to drop.
+        model = _make_model(cond_dim=2)
+        with pytest.raises(TypeError):
+            model.forward(np.zeros((2, 8)), 0.5, np.zeros((2, 2)), np.array([True, False]))
 
     def test_null_branch_differs_from_conditional(self):
         model = _make_model(cond_dim=2, seed=3)
@@ -478,7 +487,7 @@ class TestVectorFieldModel:
         with pytest.raises(ShapeError):
             model.velocity(np.zeros((2, 8)), 0.5, np.zeros((2, 3)))
         with pytest.raises(ShapeError):
-            model.forward(np.zeros((2, 8)), 0.5, np.zeros((2, 2)), np.array([False]))
+            model.forward(np.zeros((2, 8)), 0.5, np.zeros((2, 2)), drop=np.array([True]))
 
     def test_per_sample_tau(self):
         model = _make_model(seed=5)
@@ -590,6 +599,18 @@ class TestInferencePath:
         monkeypatch.setattr(model, "_context", spy)
         model.velocity(x, tau, cond)
         assert built == [rows]
+
+    def test_dropping_every_row_is_the_null_branch(self, backbone, dtype):
+        model = _perturbed_model(backbone, dtype)
+        rng = np.random.default_rng(24)
+        x = rng.standard_normal((4, 8))
+        cond = rng.standard_normal((4, 2))
+        drop = np.ones(4, dtype=bool)
+        for tau in (0.3, rng.random(4)):
+            with ad.no_grad():
+                dropped = model.forward(x, tau, cond, drop=drop).data
+                null = model.forward(x, tau, None).data
+            assert np.array_equal(dropped, null)
 
     def test_one_differing_row_keeps_the_per_row_forward(self, backbone, dtype):
         model = _perturbed_model(backbone, dtype)
@@ -724,6 +745,14 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="header must be an object"):
             load_checkpoint(path)
 
+    def test_rejects_an_integer_too_long_to_parse(self, tmp_path):
+        # json refuses integers past 4300 digits with a plain ValueError.
+        header = b'{"config": {"signal_length": ' + b"9" * 5000 + b"}}"
+        path = tmp_path / "digits.fbc"
+        path.write_bytes(b"FBRIDGE1" + struct.pack("<II", 2, len(header)) + header)
+        with pytest.raises(CheckpointError, match="corrupt header"):
+            load_checkpoint(path)
+
     def test_rejects_trailing_garbage(self, tmp_path):
         model = _make_model(dtype="float32")
         path = tmp_path / "trail.fbc"
@@ -755,6 +784,34 @@ class TestCheckpoint:
     def test_rejects_bad_manifest_or_extra(self, tmp_path, key, edit):
         path = _saved_with_header(tmp_path, key, edit)
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda c: {**c, "signal_length": 10**15},
+            lambda c: {**c, "hidden": 2**62},
+            lambda c: {**c, "depth": 10**12},
+            lambda c: {**c, "cond_dim": 10**400, "cond_embed": 0},
+        ],
+        ids=["signal_length", "hidden", "depth", "cond_dim_past_float_range"],
+    )
+    def test_corrupt_size_refused_before_allocating(self, tmp_path, edit):
+        path = _saved_with_header(tmp_path, "config", edit)
+        with pytest.raises(CheckpointError, match=re.escape(str(path))):
+            load_checkpoint(path)
+
+    def test_forged_manifest_refused_by_payload_length(self, tmp_path):
+        # A manifest rewritten to match a huge config still needs its payload.
+        path = _saved_with_header(tmp_path, "config", lambda c: {**c, "hidden": 2**62})
+        raw = path.read_bytes()
+        (header_len,) = struct.unpack_from("<I", raw, 12)
+        header = json.loads(raw[16 : 16 + header_len])
+        layout = param_layout(ModelConfig(**header["config"]))
+        header["params"] = [[name, list(shape)] for name, shape, _ in layout]
+        blob = json.dumps(header).encode("utf-8")
+        path.write_bytes(raw[:12] + struct.pack("<I", len(blob)) + blob + raw[16 + header_len :])
+        with pytest.raises(CheckpointError, match="truncated payload"):
             load_checkpoint(path)
 
     @settings(max_examples=24, deadline=None, derandomize=True)

@@ -1,5 +1,6 @@
 """Tests for schedules, ODE integration, and the encode/decode bridge."""
 
+import hashlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -222,6 +223,24 @@ class TestIntegrate:
             integrate(stub, np.ones((2, 3)), schedule_uniform(4), condition=cond, gamma=gamma)
         assert stub.calls_cond == stub.calls_null == 0
 
+    def test_rejects_gamma_that_overflows_the_model_dtype(self):
+        # 1e39 is finite in float64 but not in float32, the dtype of the blend.
+        stub = _decay_field(-1.0)
+        stub.config.np_dtype = np.float32
+        cond = np.zeros((1, 1), dtype=np.float32)
+        with pytest.raises(ValidationError, match="gamma .*float32"):
+            integrate(stub, np.ones((1, 2)), schedule_uniform(4), condition=cond, gamma=1e39)
+        assert stub.calls_cond == stub.calls_null == 0
+
+    def test_overflowing_guided_step_is_a_divergence(self):
+        # 2 * 3e38 overflows float32 in the blend; the step reports it.
+        stub = _FieldStub(lambda x, tau: np.full(x.shape, 3e38, dtype=np.float32))
+        stub.config.np_dtype = np.float32
+        cond = np.zeros((1, 1), dtype=np.float32)
+        with pytest.raises(DivergenceError) as exc:
+            integrate(stub, np.zeros((1, 2)), schedule_uniform(4), condition=cond, gamma=2.0)
+        assert exc.value.step == 0
+
     def test_rejects_condition_that_overflows_the_model_dtype(self):
         cfg = ModelConfig(signal_length=2, hidden=4, depth=1, cond_dim=1, dtype="float32")
         model = VectorFieldModel(cfg, np.random.default_rng(0))
@@ -314,6 +333,35 @@ class TestBridge:
         outs = [gfb_transfer(model, x, s, cond, gamma=g).output for g in (0.0, 1.0, 2.0)]
         assert not np.array_equal(outs[0], outs[1])
         assert not np.array_equal(outs[1], outs[2])
+
+    @pytest.mark.parametrize("cond_value,gamma", [(np.nan, 1.0), (0.0, np.inf), (0.0, 1e39)])
+    def test_decode_inputs_checked_before_the_encode_leg(self, cond_value, gamma):
+        stub = _decay_field(-1.0)
+        stub.config.np_dtype = np.float32
+        cond = np.full((2, 1), cond_value)
+        with pytest.raises(ValidationError, match="condition|gamma"):
+            gfb_transfer(stub, np.ones((2, 2)), schedule_uniform(4), cond, gamma=gamma)
+        assert stub.calls_cond == stub.calls_null == 0
+
+    def test_guided_bridge_golden_digest(self):
+        """Bridging with a seeded, perturbed conditional MLP gives bit for bit
+        the outputs, latents and both legs' velocities it has always given,
+        under a shared and a per-row condition at gamma 0, 1 and 1.5."""
+        cfg = ModelConfig(signal_length=2, hidden=16, depth=2, cond_dim=1, cond_embed=4)
+        model = VectorFieldModel(cfg, np.random.default_rng(31))
+        rng = np.random.default_rng(32)
+        for p in model.parameters():
+            p.data = (p.data + 0.1 * rng.standard_normal(p.data.shape)).astype(np.float32)
+        x = rng.standard_normal((16, 2)).astype(np.float32)
+        shared = np.full((16, 1), 0.8, dtype=np.float32)
+        per_row = np.linspace(0.5, 1.5, 16, dtype=np.float32)[:, None]
+        h = hashlib.sha256()
+        for cond in (shared, per_row):
+            for gamma in (0.0, 1.0, 1.5):
+                r = gfb_transfer(model, x, schedule_raised_cosine(6), cond, gamma=gamma)
+                for a in (r.output, r.latent, r.encode.velocities, r.decode.velocities):
+                    h.update(a.tobytes())
+        assert h.hexdigest() == "c6c827e61e9a892d974d834137424610d342067966d48137eed6b7663606afb3"
 
     @pytest.mark.parametrize("per_row", [False, True])
     def test_decode_context_rows(self, per_row, monkeypatch):
