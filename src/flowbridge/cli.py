@@ -11,10 +11,10 @@ import numpy as np
 
 from .analysis import curvature_profile, empirical_w2
 from .config import apply_overrides, build_config, check_int_fields, dump_config, load_config
-from .exceptions import CheckpointError, ConfigError, FlowbridgeError, ValidationError
+from .exceptions import CheckpointError, ConfigError, FlowbridgeError
 from .nn.checkpoint import load_checkpoint, save_checkpoint
 from .nn.model import ModelConfig
-from .sampler import SCHEDULES, gfb_transfer, integrate
+from .sampler import SCHEDULES, check_decode_inputs, gfb_transfer, integrate
 from .signalio import load_signals, read_csv, save_signals, write_csv
 from .svgplot import SvgFigure
 from .tasks import TaskSpec, make_training_stream
@@ -77,30 +77,16 @@ def _parse_float(flag: str, text: str) -> float:
     return values[0]
 
 
-def _parse_condition(text: str | None, batch: int, cond_dim: int):
-    if text is None:
-        return None
-    with np.errstate(over="ignore"):
-        values = np.array(_parse_floats("--condition", text), dtype=np.float32)
-    if not np.all(np.isfinite(values)):
-        raise ConfigError(f"--condition overflows float32: {text!r}")
-    if values.shape[0] != cond_dim:
-        raise ConfigError(f"condition has {values.shape[0]} values, model expects {cond_dim}")
-    return np.tile(values[None, :], (batch, 1))
-
-
 def _cmd_bridge(args) -> int:
     gamma = 1.0 if args.gamma is None else _parse_float("--gamma", args.gamma)
     if args.gamma is not None and args.condition is None:
         raise ConfigError("--gamma needs --condition: without one only the null branch decodes")
     model, _ = load_checkpoint(args.checkpoint)
     values, fs = load_signals(args.input)
-    if values.shape[1] != model.config.signal_length:
-        raise ValidationError(
-            f"input length {values.shape[1]} != model signal length "
-            f"{model.config.signal_length}"
-        )
-    condition = _parse_condition(args.condition, values.shape[0], model.config.cond_dim)
+    condition = None
+    if args.condition is not None:
+        # Float64 values: the sampler casts them to the model dtype and checks them.
+        condition = np.tile(_parse_floats("--condition", args.condition), (values.shape[0], 1))
     schedule = SCHEDULES[args.schedule](args.steps)
     result = gfb_transfer(model, values, schedule, condition, gamma=gamma, method=args.method)
     out = Path(args.out)
@@ -143,6 +129,9 @@ def _cmd_eval(args) -> int:
         rng = np.random.default_rng(args.seed)
         z = rng.standard_normal((args.samples, model.config.signal_length))
         batch = next(make_training_stream(task, args.samples, rng))
+        # Every gamma before the first decode: without a condition only one decodes.
+        for gamma in gammas:
+            check_decode_inputs(model, z, batch.condition, gamma)
         traj = None
         for gamma in gammas:
             # integrate ignores gamma without a condition, so one decode serves every gamma.
@@ -260,8 +249,9 @@ def main(argv: list[str] | None = None) -> int:
             if getattr(args, flag, None) is not None:
                 check_int_fields(args, flag, low=low)
         return args.fn(args)
-    except (FlowbridgeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (FlowbridgeError, OSError, MemoryError) as exc:
+        # A MemoryError raised by Python itself carries no message.
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -19,7 +19,7 @@ from ..exceptions import ConfigError, ShapeError, ValidationError
 from . import autodiff as ad
 from .autodiff import Tensor
 
-__all__ = ["ModelConfig", "VectorFieldModel", "param_layout", "time_embedding"]
+__all__ = ["ModelConfig", "VectorFieldModel", "check_condition", "param_layout", "time_embedding"]
 
 _DTYPES = {"float32": np.float32, "float64": np.float64}
 
@@ -51,6 +51,16 @@ class ModelConfig:
     @property
     def np_dtype(self):
         return _DTYPES[self.dtype]
+
+
+def check_condition(config: ModelConfig, rows: int, condition: np.ndarray | None) -> None:
+    """Raise unless condition is None or a (rows, cond_dim) array of a conditional model."""
+    if condition is None:
+        return
+    if config.cond_dim == 0:
+        raise ValidationError("model was built without conditioning")
+    if condition.shape != (rows, config.cond_dim):
+        raise ShapeError(f"condition must be ({rows}, {config.cond_dim}), got {condition.shape}")
 
 
 @functools.lru_cache(maxsize=8)
@@ -167,15 +177,12 @@ class VectorFieldModel:
         cfg = self.config
         dt = cfg.np_dtype
         if x.ndim != 2 or x.shape[1] != cfg.signal_length:
-            raise ShapeError(f"expected (B, {cfg.signal_length}), got {x.shape}")
+            raise ShapeError(f"x must be (B, signal_length={cfg.signal_length}), got {x.shape}")
         b = x.shape[0]
         tau = np.asarray(tau, dtype=dt)
         if not np.all((tau >= 0.0) & (tau <= 1.0)):
             raise ValidationError("tau must lie in [0, 1]")
-        if condition is not None and cfg.cond_dim == 0:
-            raise ValidationError("model was built without conditioning")
-        if condition is not None and condition.shape != (b, cfg.cond_dim):
-            raise ShapeError(f"condition must be ({b}, {cfg.cond_dim}), got {condition.shape}")
+        check_condition(cfg, b, condition)
         present = np.full(b, condition is not None)
         if drop is not None:
             if drop.shape != (b,):

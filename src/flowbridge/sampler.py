@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DivergenceError, ShapeError, ValidationError
-from .nn.model import VectorFieldModel
+from .nn.model import VectorFieldModel, check_condition
 
 __all__ = [
     "TimeSchedule",
@@ -21,6 +21,7 @@ __all__ = [
     "schedule_raised_cosine",
     "SCHEDULES",
     "Trajectory",
+    "check_decode_inputs",
     "integrate",
     "BridgeResult",
     "gfb_transfer",
@@ -98,10 +99,11 @@ class Trajectory:
         return self.velocities.shape[0]
 
 
-def _checked_inputs(model: VectorFieldModel, start: np.ndarray, condition, gamma: float):
-    """start and condition cast to the model dtype.
+def check_decode_inputs(model: VectorFieldModel, start: np.ndarray, condition, gamma: float):
+    """start and condition cast to the model dtype: the one check of a decode's inputs.
 
-    Raises ValidationError if either, or gamma, is non-finite in that dtype.
+    Raises ShapeError for a misfit shape (start not (B, N), or see `check_condition`)
+    and ValidationError if start, condition or gamma is non-finite in the model dtype.
     """
     if start.ndim != 2:
         raise ShapeError(f"start state must be (B, N), got {start.shape}")
@@ -113,6 +115,7 @@ def _checked_inputs(model: VectorFieldModel, start: np.ndarray, condition, gamma
         if condition is not None:
             condition = np.asarray(condition, dtype=dtype)
         gamma_cast = np.asarray(gamma, dtype=dtype)
+    check_condition(model.config, start.shape[0], condition)
     if not np.all(np.isfinite(start)):
         raise ValidationError(f"start state has non-finite values in {name}")
     if condition is not None and not np.all(np.isfinite(condition)):
@@ -137,12 +140,11 @@ def integrate(
     0 (negative steps). With a condition, the field is the guided combination
     gamma * v_cond + (1 - gamma) * v_null, evaluated once when gamma is 1 and
     as the null branch alone when gamma is 0. Without a condition only the
-    null branch is evaluated. The start state, condition and gamma are cast
-    to the model dtype; raises ValidationError, before any network
-    evaluation, if any of them is then non-finite, and DivergenceError the
-    first time a later state goes non-finite.
+    null branch is evaluated. Before any network evaluation the inputs pass
+    `check_decode_inputs`; raises DivergenceError the first time a later
+    state goes non-finite.
     """
-    start, condition = _checked_inputs(model, start, condition, gamma)
+    start, condition = check_decode_inputs(model, start, condition, gamma)
     x = start
     if method not in ("euler", "midpoint"):
         raise ValidationError(f"unknown method {method!r}")
@@ -202,10 +204,10 @@ def gfb_transfer(
 
     The encode leg never sees the condition — the latent depends only on the
     input — so the same latent can be decoded under different conditions or
-    guidance weights. The condition and gamma are checked with the other
-    inputs before the encode leg runs.
+    guidance weights. The decode's inputs pass `check_decode_inputs` before
+    the encode leg runs.
     """
-    _checked_inputs(model, x, condition, gamma)
+    check_decode_inputs(model, x, condition, gamma)
     encode = integrate(model, x, schedule, direction="forward", method=method, condition=None)
     latent = encode.final
     decode = integrate(

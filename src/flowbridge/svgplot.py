@@ -6,6 +6,8 @@ standalone SVG document string.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 from html import escape
 from pathlib import Path
@@ -58,16 +60,14 @@ class SvgFigure:
         return PALETTE[len([s for s in self._series if s.kind != "band"]) % len(PALETTE)]
 
     def _add(self, kind, xs, ys, y2=None, label=None):
-        xs = np.asarray(xs, dtype=np.float64).ravel()
-        ys = np.asarray(ys, dtype=np.float64).ravel()
-        if xs.shape != ys.shape or xs.size == 0:
-            raise ValidationError(f"series needs matching non-empty x/y, got {xs.shape}/{ys.shape}")
-        if y2 is not None:
-            y2 = np.asarray(y2, dtype=np.float64).ravel()
-            if y2.shape != xs.shape:
-                raise ValidationError("band needs lo and hi the same length as x")
-        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+        arrays = [np.asarray(a, dtype=np.float64).ravel() for a in (xs, ys, y2) if a is not None]
+        shapes = [a.shape for a in arrays]
+        if arrays[0].size == 0 or len(set(shapes)) != 1:
+            raise ValidationError(f"series needs matching non-empty arrays, got shapes {shapes}")
+        if not all(np.all(np.isfinite(a)) for a in arrays):
             raise ValidationError("series contains non-finite values")
+        xs, ys = arrays[:2]
+        y2 = None if y2 is None else arrays[2]
         self._series.append(_Series(kind, xs, ys, y2, self._next_color(), label))
 
     def line(self, xs, ys, label=None):
@@ -90,7 +90,16 @@ class SvgFigure:
         if y0 == y1:
             y0, y1 = y0 - 0.5, y1 + 0.5
         pad = 0.04 * (y1 - y0)
-        return x0, x1, y0 - pad, y1 + pad
+        y0, y1 = y0 - pad, y1 + pad
+        # _nice_ticks steps through an axis in about five steps and runs a step
+        # past it: refuse an axis whose step is not a normal float64 or which,
+        # widened by its span, overflows.
+        for lo, hi in ((x0, x1), (y0, y1)):
+            span = hi - lo
+            if not (span / 5 >= sys.float_info.min
+                    and math.isfinite(lo - span) and math.isfinite(hi + span)):
+                raise ValidationError(f"cannot draw an axis from {lo:g} to {hi:g} in float64")
+        return x0, x1, y0, y1
 
     def render(self) -> str:
         if not self._series:

@@ -46,6 +46,10 @@ CLEAN_T60 = 0.01
 EARLY_WINDOW_S = 0.05
 # Lowest toy-signal tone; the highest is fs/4.
 MIN_TONE_HZ = 60.0
+# Longest toy signal (2**32 samples, 16 GiB a float32 row). From a longer n,
+# sizes can pass numpy's array-size limit, where allocation raises ValueError
+# rather than the MemoryError the CLI reports.
+MAX_SIGNAL_LENGTH = 2**32
 # clip_to_sdr stops once the SDR it reaches is this close to the target.
 CLIP_TOL_DB = 0.1
 
@@ -85,8 +89,10 @@ class TaskSpec:
             if self.degradation not in DEGRADATIONS:
                 names = " or ".join(map(repr, DEGRADATIONS))
                 raise ConfigError(f"toy_signal needs degradation {names}, got {self.degradation!r}")
-            if self.n < 16:
-                raise ConfigError(f"toy_signal length too short: {self.n}")
+            if not 16 <= self.n <= MAX_SIGNAL_LENGTH:
+                raise ConfigError(
+                    f"toy_signal length must be in [16, {MAX_SIGNAL_LENGTH}], got {self.n}"
+                )
         elif self.degradation is not None:
             raise ConfigError(f"{self.family} does not take a degradation")
         if self.clean_mix_prob > 0 and self.family != "toy_signal":

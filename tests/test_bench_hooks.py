@@ -1,9 +1,11 @@
-"""The benchmark tracer (bench/tracer.py) still finds and sees every layer it wraps.
+"""The benchmark (bench/) still runs against the package.
 
-The tracer patches package functions by name; a rename in the package would
-otherwise surface only when someone runs `bench/run.py --trace 1`.
+The tracer (bench/tracer.py) patches package functions by name, and each
+workload of bench/run.py checks its own results; a rename or a broken layer
+in the package would otherwise surface only when someone runs the benchmark.
 """
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -73,3 +75,28 @@ def test_tracer_hooks_see_every_layer(tracer):
                  "nn.matmul_bwd", "nn.conv1d_bwd", "nn.backward", "nn.adam_step",
                  "sampler.integrate", "analysis.empirical_w2", "analysis.curvature"):
         assert name in spans, name
+
+
+@pytest.fixture
+def bench_run(monkeypatch):
+    # run.py pins these at import; setenv restores them after the test.
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.syspath_prepend(str(BENCH))
+    import run
+
+    return run
+
+
+def test_every_workload_passes_its_own_check(bench_run):
+    # Each workload's first quality session at the seed a `--seed 0` run gives
+    # it, with the checks that decide the run's `correct`; planar_ot_train's
+    # 1000-iteration session is cut to 20 iterations.
+    for name in bench_run.WORKLOADS:
+        wl = bench_run.make_workload(flowbridge, name)
+        wl.setup(0)
+        size = 20 if name == "planar_ot_train" else wl.session_size
+        s = wl.session(bench_run._seed(0, 100, 0), size, None)
+        assert (s.attempted, s.failed, s.errors) == (size, 0, []), name
+        if isinstance(wl, bench_run.TrainingWorkload):
+            assert math.isfinite(s.info["w2"]), name

@@ -10,7 +10,7 @@ import pytest
 
 from flowbridge.analysis import curvature_profile, empirical_w2
 from flowbridge.cli import main
-from flowbridge.nn import load_checkpoint, save_checkpoint
+from flowbridge.nn import ModelConfig, VectorFieldModel, load_checkpoint, save_checkpoint
 from flowbridge.sampler import SCHEDULES, integrate
 from flowbridge.signalio import load_signals, read_csv, save_signals
 from flowbridge.tasks import TaskSpec, gen_two_moons, make_training_stream
@@ -308,7 +308,7 @@ def test_bridge_condition_overflowing_float32(ring_run, tmp_path, capsys):
             "--input", str(sig_path), "--out", str(tmp_path / "b"),
             "--condition", "1e39",
         ])
-    _assert_one_error_line(rc, capsys, "--condition overflows float32")
+    _assert_one_error_line(rc, capsys, "condition has non-finite values in float32")
 
 
 @pytest.mark.parametrize("command", ["bridge", "eval"])
@@ -327,6 +327,41 @@ def test_gamma_overflowing_float32(ring_run, tmp_path, capsys, command):
                    "--out", str(tmp_path / "o"), *argv])
     _assert_one_error_line(rc, capsys, "gamma must be finite in float32")
     assert not (tmp_path / "o").exists()
+
+
+def test_eval_checks_every_gamma_before_decoding(planar_run, tmp_path, capsys):
+    # One decode serves every gamma of an unconditional model; 1e39 is still refused.
+    capsys.readouterr()
+    rc = main(["eval", "--checkpoint", str(planar_run / "model.fbc"), "--out", str(tmp_path / "o"),
+               "--gammas", "1,1e39", "--samples", "8", "--steps", "4"])
+    _assert_one_error_line(rc, capsys, "gamma must be finite in float32")
+    assert not (tmp_path / "o").exists()
+
+
+def test_bridge_condition_reaches_a_float64_model_exactly(tmp_path, monkeypatch):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "task": {"family": "cond_ring"},
+        "model": {"hidden": 8, "depth": 1, "dtype": "float64"},
+        "train": {"iterations": 2, "batch_size": 4},
+    }))
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 0
+    sig_path = tmp_path / "in.fbs"
+    save_signals(sig_path, np.full((3, 2), 0.5, dtype=np.float32))
+    seen = []
+    forward = VectorFieldModel.forward
+
+    def recording_forward(self, x, tau, condition=None, **kwargs):
+        if condition is not None:
+            seen.append(condition)
+        return forward(self, x, tau, condition, **kwargs)
+
+    monkeypatch.setattr(VectorFieldModel, "forward", recording_forward)
+    rc = main(["bridge", "--checkpoint", str(tmp_path / "run" / "model.fbc"),
+               "--input", str(sig_path), "--out", str(tmp_path / "b"), "--steps", "2",
+               "--condition", "0.1"])
+    assert rc == 0
+    assert seen and all(c.dtype == np.float64 and np.all(c == 0.1) for c in seen)
 
 
 def test_bridge_refuses_a_checkpoint_with_a_corrupt_size(planar_run, tmp_path, capsys):
@@ -527,6 +562,43 @@ def test_eval_rejects_malformed_task_metadata(planar_run, tmp_path, capsys, extr
     assert not (tmp_path / "ev").exists()
 
 
+@pytest.mark.parametrize("n", [10**15, 10**17])
+def test_eval_refuses_an_impossible_signal_length(tmp_path, capsys, n):
+    # No conv parameter depends on the signal length, so such a checkpoint loads.
+    cfg = ModelConfig(signal_length=n, backbone="conv", hidden=4, depth=1, kernel_size=3)
+    ckpt = tmp_path / "m" / "model.fbc"
+    ckpt.parent.mkdir()
+    task = {"family": "toy_signal", "n": n, "degradation": "clip"}
+    save_checkpoint(ckpt, VectorFieldModel(cfg, np.random.default_rng(0)), extra={"task": task})
+    rc = main(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "ev"),
+               "--gammas", "1", "--samples", "8"])
+    _assert_one_error_line(rc, capsys, "toy_signal length must be in")
+    assert not (tmp_path / "ev").exists()
+
+
+def test_eval_reports_memory_exhaustion(planar_run, tmp_path, capsys):
+    # 10**17 planar samples are 1.4 EiB of float64: within numpy's array-size
+    # limit, past any address space.
+    rc = main(["eval", "--checkpoint", str(planar_run / "model.fbc"), "--out", str(tmp_path / "ev"),
+               "--gammas", "1", "--samples", str(10**17)])
+    _assert_one_error_line(rc, capsys, "Unable to allocate")
+    assert not (tmp_path / "ev").exists()
+
+
+@pytest.mark.parametrize("n", [10**15, 10**20])
+def test_train_refuses_an_impossible_signal_length(tmp_path, capsys, n):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "task": {"family": "toy_signal", "n": 64, "degradation": "clip"},
+        "model": {"backbone": "conv", "hidden": 4, "depth": 1, "kernel_size": 3},
+        "train": {"iterations": 2, "batch_size": 2},
+    }))
+    rc = main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "r"),
+               "--set", f"task.n={n}"])
+    _assert_one_error_line(rc, capsys, "toy_signal length must be in")
+    assert not (tmp_path / "r").exists()
+
+
 @pytest.mark.parametrize("gammas", ["a", "0,", "1,nan"])
 def test_eval_rejects_non_numeric_gammas(planar_run, tmp_path, capsys, gammas):
     rc = main([
@@ -664,6 +736,15 @@ def test_plot_non_numeric_column(tmp_path, capsys):
         "plot", "--input", str(csv_path), "--out", str(out), "--x", "model", "--y", "mean",
     ])
     _assert_one_error_line(rc, capsys, "column 'model' holds a non-numeric cell 'moons'")
+    assert not out.exists()
+
+
+def test_plot_refuses_a_span_past_float64(tmp_path, capsys):
+    csv_path = tmp_path / "t.csv"
+    csv_path.write_text("tau,mean\n0.0,-1e308\n1.0,1e308\n")
+    out = tmp_path / "t.svg"
+    rc = main(["plot", "--input", str(csv_path), "--out", str(out), "--x", "tau", "--y", "mean"])
+    _assert_one_error_line(rc, capsys, "cannot draw an axis")
     assert not out.exists()
 
 

@@ -229,6 +229,24 @@ class TestSvgFigure:
         with pytest.raises(ValidationError):
             fig.line([0, 1], [0, np.nan])
 
+    @pytest.mark.parametrize("hi", [np.nan, np.inf])
+    def test_band_upper_edge_checked(self, hi):
+        fig = SvgFigure()
+        with pytest.raises(ValidationError, match="non-finite"):
+            fig.band([0, 1], [0.0, 0.0], [1.0, hi])
+
+    @pytest.mark.parametrize(
+        "ys",
+        [(-1e308, 1e308), (0.0, 1.7e308), (1e300, 1e300), (0.0, 5e-324)],
+        ids=["span-overflows", "padded-top-overflows", "constant-past-half-ulp", "step-underflows"],
+    )
+    def test_undrawable_axis_rejected(self, ys):
+        for xs, y in (([0, 1], ys), (ys, [0, 1])):
+            fig = SvgFigure()
+            fig.line(xs, y)
+            with pytest.raises(ValidationError, match="cannot draw an axis"):
+                fig.render()
+
     def test_constant_series_renders(self):
         fig = SvgFigure()
         fig.line([0, 1, 2], [1.0, 1.0, 1.0])

@@ -25,7 +25,7 @@ class _FieldStub:
 
     def __init__(self, fn):
         self.fn = fn
-        self.config = SimpleNamespace(np_dtype=np.float64)
+        self.config = SimpleNamespace(np_dtype=np.float64, cond_dim=1)
         self.calls_cond = 0
         self.calls_null = 0
 
@@ -180,7 +180,7 @@ class TestIntegrate:
         assert exc.value.step == 3
 
     def test_guidance_branch_evaluation_counts(self):
-        cond = np.zeros((1, 2), dtype=np.float32)
+        cond = np.zeros((1, 1), dtype=np.float32)
         for gamma, want_cond, want_null in [(1.0, 4, 0), (0.0, 0, 4), (0.5, 4, 4)]:
             stub = _decay_field(-1.0)
             integrate(stub, np.ones((1, 2)), schedule_uniform(4), condition=cond, gamma=gamma)
@@ -196,7 +196,7 @@ class TestIntegrate:
         # applies gamma * a + (1 - gamma) * b.
         a, b = np.array([[1.5, -2.0]]), np.array([[0.25, 4.0]])
         stub = SimpleNamespace(
-            config=SimpleNamespace(np_dtype=np.float64),
+            config=SimpleNamespace(np_dtype=np.float64, cond_dim=1),
             velocity=lambda x, tau, condition=None: b if condition is None else a,
         )
         cond = np.zeros((1, 1), dtype=np.float32)
@@ -342,6 +342,24 @@ class TestBridge:
         with pytest.raises(ValidationError, match="condition|gamma"):
             gfb_transfer(stub, np.ones((2, 2)), schedule_uniform(4), cond, gamma=gamma)
         assert stub.calls_cond == stub.calls_null == 0
+
+    @pytest.mark.parametrize(
+        "cond_dim,rows,width",
+        [(1, 4, 2), (1, 3, 1), (0, 4, 1)],
+        ids=["wrong-width", "wrong-rows", "unconditional-model"],
+    )
+    def test_misfit_condition_refused_before_the_encode_leg(
+        self, monkeypatch, cond_dim, rows, width
+    ):
+        cfg = ModelConfig(signal_length=2, hidden=8, depth=1, cond_dim=cond_dim)
+        model = VectorFieldModel(cfg, np.random.default_rng(0))
+        calls = []
+        forward = model.forward
+        monkeypatch.setattr(model, "forward", lambda *a, **k: calls.append(1) or forward(*a, **k))
+        cond = np.zeros((rows, width))
+        with pytest.raises(ValidationError, match="condition"):
+            gfb_transfer(model, np.ones((4, 2)), schedule_raised_cosine(25), cond)
+        assert calls == []
 
     def test_guided_bridge_golden_digest(self):
         """Bridging with a seeded, perturbed conditional MLP gives bit for bit
