@@ -27,20 +27,17 @@ def _cmd_train(args) -> int:
     cfg = load_config(args.config)
     cfg = apply_overrides(cfg, args.set or [])
     if args.seed is not None:
-        cfg = apply_overrides(cfg, [f"seed={args.seed}", f"train.seed={args.seed}"])
-    unknown = sorted(set(cfg) - {"seed", "task", "model", "train"})
+        cfg = apply_overrides(cfg, [f"train.seed={args.seed}"])
+    unknown = sorted(set(cfg) - {"task", "model", "train"})
     if unknown:
         names = ", ".join(map(repr, unknown))
-        raise ConfigError(f"unknown config key {names}; expected seed, task, model, train")
+        raise ConfigError(f"unknown config key {names}; expected task, model, train")
 
     task = build_config(TaskSpec, cfg.get("task", {}), "task")
     model_cfg = build_config(
         ModelConfig, cfg.get("model", {}), "model", signal_length=task.n, cond_dim=task.cond_dim
     )
-    train_raw = cfg.get("train", {})
-    if isinstance(train_raw, dict):
-        train_raw = {"seed": cfg.get("seed", 0), **train_raw}
-    train_cfg = build_config(TrainConfig, train_raw, "train")
+    train_cfg = build_config(TrainConfig, cfg.get("train", {}), "train")
 
     result = train(model_cfg, task, train_cfg)
     out = Path(args.out)
@@ -125,10 +122,12 @@ def _cmd_eval(args) -> int:
         chunk = train_raw.get("chunk_size")
         coupling = train_raw.get("coupling", "")
         label = Path(ckpt_path).parent.name
-        # The noise comes first, then the reference batch whose conditions decode it.
+        # The noise comes first, then the reference batch whose conditions decode
+        # it; the stream checks the batch size before either is drawn.
         rng = np.random.default_rng(args.seed)
+        stream = make_training_stream(task, args.samples, rng)
         z = rng.standard_normal((args.samples, model.config.signal_length))
-        batch = next(make_training_stream(task, args.samples, rng))
+        batch = next(stream)
         # Every gamma before the first decode: without a condition only one decodes.
         for gamma in gammas:
             check_decode_inputs(model, z, batch.condition, gamma)

@@ -10,7 +10,13 @@ from pathlib import Path
 from .exceptions import ConfigError
 
 __all__ = ["load_config", "dump_config", "apply_overrides", "check_int_fields",
-           "check_real_fields", "build_config"]
+           "check_real_fields", "build_config", "MAX_ARRAY_VALUES"]
+
+# Most values one array may hold: a float64 array of 2**60 values takes 2**63
+# bytes, past numpy's array-size limit, where allocation raises ValueError
+# rather than the MemoryError the CLI reports. A count from outside is refused
+# once an array sized by it would reach this bound.
+MAX_ARRAY_VALUES = 2**60
 
 
 def check_int_fields(obj, *names: str, low: int | None = None) -> None:

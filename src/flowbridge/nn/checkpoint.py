@@ -24,7 +24,7 @@ from .model import ModelConfig, VectorFieldModel, param_layout
 __all__ = ["save_checkpoint", "load_checkpoint"]
 
 MAGIC = b"FBRIDGE1"
-VERSION = 2
+VERSION = 3
 
 _WIRE = {"float32": "<f4", "float64": "<f8"}
 

@@ -8,13 +8,12 @@ every residual block through per-block scale-and-shift.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import check_int_fields, check_real_fields
+from ..config import check_int_fields
 from ..exceptions import ConfigError, ShapeError, ValidationError
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -22,6 +21,14 @@ from .autodiff import Tensor
 __all__ = ["ModelConfig", "VectorFieldModel", "check_condition", "param_layout", "time_embedding"]
 
 _DTYPES = {"float32": np.float32, "float64": np.float64}
+# Width of the condition embedding, and the time embedding's frequencies:
+# TIME_FEATURES of them, geometrically spaced from 1 to MAX_TIME_FREQ cycles
+# over the unit interval.
+COND_EMBED = 16
+TIME_FEATURES = 8
+MAX_TIME_FREQ = 50.0
+_FREQUENCIES = np.geomspace(1.0, MAX_TIME_FREQ, TIME_FEATURES)
+_FREQUENCIES.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -31,16 +38,12 @@ class ModelConfig:
     hidden: int = 64
     depth: int = 3
     cond_dim: int = 0
-    cond_embed: int = 16
-    time_features: int = 8
-    max_time_freq: float = 50.0
     kernel_size: int = 5
     dtype: str = "float32"
 
     def __post_init__(self):
         check_int_fields(self, "signal_length", "hidden", "depth", "kernel_size", low=1)
-        check_int_fields(self, "cond_dim", "cond_embed", "time_features", low=0)
-        check_real_fields(self, "max_time_freq", positive=True)
+        check_int_fields(self, "cond_dim", low=0)
         if self.backbone not in ("mlp", "conv"):
             raise ConfigError(f"unknown backbone {self.backbone!r}")
         if self.dtype not in _DTYPES:
@@ -63,21 +66,9 @@ def check_condition(config: ModelConfig, rows: int, condition: np.ndarray | None
         raise ShapeError(f"condition must be ({rows}, {config.cond_dim}), got {condition.shape}")
 
 
-@functools.lru_cache(maxsize=8)
-def _frequencies(n_features: int, max_freq: float) -> np.ndarray:
-    """time_embedding's frequency table, computed once per (n_features, max_freq)."""
-    freqs = np.geomspace(1.0, max_freq, n_features)
-    freqs.flags.writeable = False
-    return freqs
-
-
-def time_embedding(tau: np.ndarray, n_features: int, max_freq: float, dtype) -> np.ndarray:
-    """Sinusoidal features of the flow time: (B,) -> (B, 2*n_features).
-
-    Frequencies are geometrically spaced from 1 to max_freq cycles over the
-    unit interval.
-    """
-    ang = 2.0 * np.pi * tau[:, None] * _frequencies(n_features, max_freq)[None, :]
+def time_embedding(tau: np.ndarray, dtype) -> np.ndarray:
+    """Sinusoidal features of the flow time: (B,) -> (B, 2 * TIME_FEATURES)."""
+    ang = 2.0 * np.pi * tau[:, None] * _FREQUENCIES[None, :]
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1).astype(dtype)
 
 
@@ -88,12 +79,12 @@ def param_layout(config: ModelConfig):
     scale of 0 initializes to zeros. Nothing is allocated, so a checkpoint
     header can be checked against it before any parameter exists.
     """
-    h, d, e = config.hidden, config.depth, config.cond_embed
+    h, d, e = config.hidden, config.depth, COND_EMBED
     if config.cond_dim > 0:
         yield "cond_w", (config.cond_dim, e), 1.0 / math.sqrt(config.cond_dim)
         yield "cond_b", (e,), 0.0
     yield "null_cond", (1, e), 0.02
-    ctx_in = 2 * config.time_features + e + 1
+    ctx_in = 2 * TIME_FEATURES + e + 1
     yield "ctx_w", (ctx_in, h), math.sqrt(2.0 / ctx_in)
     yield "ctx_b", (h,), 0.0
 
@@ -148,7 +139,7 @@ class VectorFieldModel:
         cfg = self.config
         dt = cfg.np_dtype
         rows = tau.shape[0]
-        temb = Tensor(time_embedding(tau, cfg.time_features, cfg.max_time_freq, dt))
+        temb = Tensor(time_embedding(tau, dt))
         if present.any():
             # Zero absent rows *before* the matmul so their payload (possibly
             # NaN) never reaches the parameters.

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import MAX_ARRAY_VALUES
 from .exceptions import DivergenceError, ShapeError, ValidationError
 from .nn.model import VectorFieldModel, check_condition
 
@@ -49,8 +50,8 @@ class TimeSchedule:
 
 
 def schedule_uniform(n_steps: int) -> TimeSchedule:
-    if n_steps < 1:
-        raise ValidationError(f"n_steps must be >= 1, got {n_steps}")
+    if not 1 <= n_steps < MAX_ARRAY_VALUES:
+        raise ValidationError(f"n_steps must be >= 1 and < 2**60, got {n_steps}")
     return TimeSchedule(np.arange(n_steps + 1, dtype=np.float64) / n_steps)
 
 
@@ -59,8 +60,8 @@ def schedule_raised_cosine(n_steps: int = 25) -> TimeSchedule:
 
     cos(pi) and cos(2*pi) are exact in float64, so the endpoints are exact.
     """
-    if n_steps < 1:
-        raise ValidationError(f"n_steps must be >= 1, got {n_steps}")
+    if not 1 <= n_steps < MAX_ARRAY_VALUES:
+        raise ValidationError(f"n_steps must be >= 1 and < 2**60, got {n_steps}")
     i = np.arange(n_steps + 1, dtype=np.float64)
     return TimeSchedule(0.5 + 0.5 * np.cos(np.pi * i / n_steps + np.pi))
 
@@ -166,6 +167,8 @@ def integrate(
                 v = gamma * v + (1.0 - gamma) * v_null
         return v
 
+    if n_steps * x.size >= MAX_ARRAY_VALUES:
+        raise ValidationError(f"{n_steps} steps of {x.size} values pass the 2**60-value limit")
     velocities = np.empty((n_steps,) + x.shape, dtype=x.dtype)
     for i in range(n_steps):
         tau_cur, tau_next = float(taus[i]), float(taus[i + 1])

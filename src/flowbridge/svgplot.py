@@ -39,6 +39,14 @@ def _nice_ticks(lo: float, hi: float) -> list[float]:
     return [float(t) for t in ticks]
 
 
+def _widen(lo: float, hi: float) -> tuple[float, float]:
+    """A constant axis widened by 0.5 each way, or by |v|/2 where 0.5 rounds away."""
+    if lo != hi:
+        return lo, hi
+    half = 0.5 if lo - 0.5 != lo + 0.5 else 0.5 * abs(lo)
+    return lo - half, hi + half
+
+
 @dataclass
 class _Series:
     kind: str
@@ -83,12 +91,8 @@ class SvgFigure:
             [s.ys for s in self._series]
             + [s.y2 for s in self._series if s.y2 is not None]
         )
-        x0, x1 = float(xs.min()), float(xs.max())
-        y0, y1 = float(ys.min()), float(ys.max())
-        if x0 == x1:
-            x0, x1 = x0 - 0.5, x1 + 0.5
-        if y0 == y1:
-            y0, y1 = y0 - 0.5, y1 + 0.5
+        x0, x1 = _widen(float(xs.min()), float(xs.max()))
+        y0, y1 = _widen(float(ys.min()), float(ys.max()))
         pad = 0.04 * (y1 - y0)
         y0, y1 = y0 - pad, y1 + pad
         # _nice_ticks steps through an axis in about five steps and runs a step

@@ -16,7 +16,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .analysis import SDR_CAP_DB, sdr
-from .config import check_int_fields, check_real_fields
+from .config import MAX_ARRAY_VALUES, check_int_fields, check_real_fields
 from .coupling import SignalBatch
 from .exceptions import ConfigError, ValidationError
 
@@ -263,6 +263,8 @@ def make_training_stream(
     """
     if batch_size < 1:
         raise ValidationError(f"batch_size must be >= 1, got {batch_size}")
+    if batch_size * spec.n >= MAX_ARRAY_VALUES:
+        raise ValidationError(f"{batch_size} rows of {spec.n} values pass the 2**60-value limit")
 
     def signal_batch() -> SignalBatch:
         table = DEGRADATIONS[spec.degradation]

@@ -267,10 +267,9 @@ class TestAcceptance:
         from flowbridge.cli import main
 
         cfg = {
-            "seed": 4,
             "task": {"family": "two_moons"},
             "model": {"hidden": 16, "depth": 2},
-            "train": {"iterations": 40, "batch_size": 16, "lr": 1e-3,
+            "train": {"iterations": 40, "batch_size": 16, "lr": 1e-3, "seed": 4,
                       "coupling": "chunked_ot", "chunk_size": 2, "log_every": 10},
         }
         cfg_path = tmp_path / "cfg.json"

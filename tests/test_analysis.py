@@ -196,6 +196,16 @@ class TestEstimateDecay:
     def test_too_short_marked_invalid(self):
         assert np.isnan(estimate_decay(np.array([1.0, 0.5]), 8000.0))
 
+    def test_flat_fit_marked_invalid(self, monkeypatch):
+        # A slope of 0 or more is no decay. The Schroeder curve never rises, so
+        # only rounding in the fit of a flat span gives one: the fit is stubbed.
+        monkeypatch.setattr(np, "polyfit", lambda t, y, deg: (0.0, float(y[0])))
+        assert np.isnan(estimate_decay(np.array([1.0, 0.0, 0.0, 0.1]), 8000.0))
+
+    def test_non_1d_rejected(self):
+        with pytest.raises(ShapeError, match="expected a 1-D signal"):
+            estimate_decay(np.ones((2, 100)), 8000.0)
+
     def test_zero_signal_rejected(self):
         with pytest.raises(ValidationError):
             estimate_decay(np.zeros(100), 8000.0)

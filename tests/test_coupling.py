@@ -24,6 +24,14 @@ class TestSignalBatch:
         with pytest.raises(ValidationError):
             SignalBatch(np.zeros((2, 4)))
 
+    def test_rejects_non_2d_values(self):
+        with pytest.raises(ShapeError, match=r"batch values must be \(B, N\)"):
+            SignalBatch(np.zeros(4, dtype=np.float32))
+
+    def test_rejects_float64_condition(self):
+        with pytest.raises(ValidationError, match="condition must be float32, got float64"):
+            SignalBatch(np.zeros((2, 4), dtype=np.float32), np.zeros((2, 1)))
+
     def test_rejects_nan(self):
         v = np.zeros((2, 4), dtype=np.float32)
         v[0, 0] = np.nan
@@ -152,6 +160,10 @@ class TestCoupling:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             Coupling(np.zeros((2, 4)), np.zeros((2, 5)))
+
+    def test_non_2d_endpoints_rejected(self):
+        with pytest.raises(ShapeError, match=r"coupling endpoints must be \(B, N\)"):
+            Coupling(np.zeros(4), np.zeros(4))
 
 
 # Batch size B, chunk size n_c, chunks per row (so n_c divides N), and a seed.

@@ -11,10 +11,7 @@ from flowbridge.nn.autodiff import no_grad
 
 
 def _model(n=8, cond_dim=0, dtype="float64", seed=0):
-    cfg = ModelConfig(
-        signal_length=n, hidden=12, depth=2, cond_dim=cond_dim,
-        cond_embed=6, time_features=4, dtype=dtype,
-    )
+    cfg = ModelConfig(signal_length=n, hidden=12, depth=2, cond_dim=cond_dim, dtype=dtype)
     return VectorFieldModel(cfg, np.random.default_rng(seed))
 
 

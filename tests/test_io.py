@@ -107,6 +107,10 @@ class TestSignalFiles:
         with pytest.raises(ValidationError, match="corrupt sidecar|sidecar shape"):
             load_signals(p)
 
+    def test_save_rejects_non_2d(self, tmp_path):
+        with pytest.raises(ValidationError, match=r"expected \(B, N\) signals"):
+            save_signals(tmp_path / "sig.fbs", np.zeros(8, dtype=np.float32))
+
     def test_missing_sidecar(self, tmp_path):
         p = tmp_path / "naked.fbs"
         p.write_bytes(b"\x00" * 16)
@@ -224,6 +228,11 @@ class TestSvgFigure:
         with pytest.raises(ValidationError):
             SvgFigure().render()
 
+    @pytest.mark.parametrize("xs,ys", [([0, 1], [0, 1, 2]), ([], [])], ids=["mismatched", "empty"])
+    def test_series_arrays_must_match(self, xs, ys):
+        with pytest.raises(ValidationError, match="series needs matching non-empty arrays"):
+            SvgFigure().line(xs, ys)
+
     def test_non_finite_rejected(self):
         fig = SvgFigure()
         with pytest.raises(ValidationError):
@@ -237,8 +246,9 @@ class TestSvgFigure:
 
     @pytest.mark.parametrize(
         "ys",
-        [(-1e308, 1e308), (0.0, 1.7e308), (1e300, 1e300), (0.0, 5e-324)],
-        ids=["span-overflows", "padded-top-overflows", "constant-past-half-ulp", "step-underflows"],
+        [(-1e308, 1e308), (0.0, 1.7e308), (1.7e308, 1.7e308), (0.0, 5e-324)],
+        ids=["span-overflows", "padded-top-overflows", "constant-widening-overflows",
+             "step-underflows"],
     )
     def test_undrawable_axis_rejected(self, ys):
         for xs, y in (([0, 1], ys), (ys, [0, 1])):
@@ -251,3 +261,11 @@ class TestSvgFigure:
         fig = SvgFigure()
         fig.line([0, 1, 2], [1.0, 1.0, 1.0])
         ET.fromstring(fig.render())
+
+    @pytest.mark.parametrize("v", [1e17, -1e17, 1e300])
+    def test_constant_far_from_zero_renders(self, v):
+        # Past about 2**53 a widening by 0.5 rounds away; the axis spans v +- |v|/2.
+        for xs, ys in (([0, 1], [v, v]), ([v, v], [0, 1])):
+            fig = SvgFigure()
+            fig.line(xs, ys)
+            ET.fromstring(fig.render())

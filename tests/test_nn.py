@@ -29,7 +29,7 @@ from flowbridge.nn import (
     time_embedding,
 )
 from flowbridge.nn import autodiff as ad
-from flowbridge.nn.model import param_layout
+from flowbridge.nn.model import MAX_TIME_FREQ, TIME_FEATURES, param_layout
 
 
 def _fd_entry(f, arr, idx, h=1e-6):
@@ -302,19 +302,19 @@ class TestAutodiffOps:
 class TestTimeEmbedding:
     def test_shape_and_layout(self):
         tau = np.array([0.0, 0.5, 1.0])
-        emb = time_embedding(tau, 4, 50.0, np.float64)
-        assert emb.shape == (3, 8)
+        emb = time_embedding(tau, np.float64)
+        assert emb.shape == (3, 2 * TIME_FEATURES)
         # tau = 0: all sines zero, all cosines one.
-        assert np.allclose(emb[0, :4], 0.0)
-        assert np.allclose(emb[0, 4:], 1.0)
+        assert np.allclose(emb[0, :TIME_FEATURES], 0.0)
+        assert np.allclose(emb[0, TIME_FEATURES:], 1.0)
 
     def test_frequencies_are_geometric(self):
-        emb = time_embedding(np.array([1e-4]), 6, 32.0, np.float64)
-        freqs = np.geomspace(1.0, 32.0, 6)
-        assert np.allclose(emb[0, :6], np.sin(2 * np.pi * freqs * 1e-4))
+        emb = time_embedding(np.array([1e-4]), np.float64)
+        freqs = np.geomspace(1.0, MAX_TIME_FREQ, TIME_FEATURES)
+        assert np.allclose(emb[0, :TIME_FEATURES], np.sin(2 * np.pi * freqs * 1e-4))
 
     def test_dtype(self):
-        assert time_embedding(np.array([0.3]), 2, 8.0, np.float32).dtype == np.float32
+        assert time_embedding(np.array([0.3]), np.float32).dtype == np.float32
 
 
 def _make_model(backbone="mlp", cond_dim=0, dtype="float64", n=8, hidden=12, depth=2, seed=0):
@@ -324,8 +324,6 @@ def _make_model(backbone="mlp", cond_dim=0, dtype="float64", n=8, hidden=12, dep
         hidden=hidden,
         depth=depth,
         cond_dim=cond_dim,
-        cond_embed=6,
-        time_features=4,
         kernel_size=3,
         dtype=dtype,
     )
@@ -507,24 +505,20 @@ class TestVectorFieldModel:
             {"kernel_size": 4},
             {"signal_length": 0},
             {"kernel_size": -1},
-            {"time_features": -1},
-            {"cond_embed": -1},
-            {"max_time_freq": 0.0},
-            {"max_time_freq": -50.0},
-            {"max_time_freq": float("nan")},
-            {"max_time_freq": float("inf")},
             {"hidden": 8.5},
             {"hidden": 4.0},
             {"depth": True},
             {"signal_length": 8.0},
             {"cond_dim": "1"},
-            {"cond_embed": None},
-            {"time_features": 2.0},
             {"kernel_size": 5.0},
         ]
         for kwargs in bad:
             with pytest.raises(ConfigError):
                 ModelConfig(**{"signal_length": 8, **kwargs})
+
+    def test_unknown_dtype_rejected(self):
+        with pytest.raises(ConfigError, match="unknown dtype 'float16'"):
+            ModelConfig(signal_length=8, dtype="float16")
 
 
 INFERENCE_CASES = [
@@ -738,10 +732,29 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    def test_rejects_too_short_file(self, tmp_path):
+        path = tmp_path / "short.fbc"
+        path.write_bytes(b"FBRIDGE1" + struct.pack("<I", 3))
+        with pytest.raises(CheckpointError, match="file too short to be a checkpoint"):
+            load_checkpoint(path)
+
+    def test_rejects_version_2(self, tmp_path):
+        # Version 2 headers carried the embedding sizes that are now constants.
+        path = tmp_path / "v2.fbc"
+        save_checkpoint(path, _make_model(dtype="float32"))
+        raw = path.read_bytes()
+        (header_len,) = struct.unpack_from("<I", raw, 12)
+        header = json.loads(raw[16 : 16 + header_len])
+        header["config"].update(cond_embed=16, time_features=8, max_time_freq=50.0)
+        blob = json.dumps(header, sort_keys=True).encode("utf-8")
+        path.write_bytes(raw[:8] + struct.pack("<II", 2, len(blob)) + blob + raw[16 + header_len :])
+        with pytest.raises(CheckpointError, match="unsupported format version 2"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("header", [b"[]", b"5", b'"config"'])
     def test_rejects_non_object_header(self, tmp_path, header):
         path = tmp_path / "list.fbc"
-        path.write_bytes(b"FBRIDGE1" + struct.pack("<II", 2, len(header)) + header)
+        path.write_bytes(b"FBRIDGE1" + struct.pack("<II", 3, len(header)) + header)
         with pytest.raises(CheckpointError, match="header must be an object"):
             load_checkpoint(path)
 
@@ -749,7 +762,7 @@ class TestCheckpoint:
         # json refuses integers past 4300 digits with a plain ValueError.
         header = b'{"config": {"signal_length": ' + b"9" * 5000 + b"}}"
         path = tmp_path / "digits.fbc"
-        path.write_bytes(b"FBRIDGE1" + struct.pack("<II", 2, len(header)) + header)
+        path.write_bytes(b"FBRIDGE1" + struct.pack("<II", 3, len(header)) + header)
         with pytest.raises(CheckpointError, match="corrupt header"):
             load_checkpoint(path)
 
@@ -773,12 +786,11 @@ class TestCheckpoint:
             ("config", lambda c: {**c, "hidden": 4.0}),
             ("config", lambda c: {**c, "hidden": 0}),
             ("config", lambda c: {**c, "kernel_size": 5.0}),
-            ("config", lambda c: {**c, "max_time_freq": True}),
             ("config", lambda c: {**c, "bogus": 1}),
             ("config", lambda c: None),
         ],
         ids=["params_int", "params_null", "shape_int", "empty_entry", "long_entry", "extra_list",
-             "hidden_float", "hidden_zero", "kernel_float", "time_freq_bool", "config_unknown_key",
+             "hidden_float", "hidden_zero", "kernel_float", "config_unknown_key",
              "config_null"],
     )
     def test_rejects_bad_manifest_or_extra(self, tmp_path, key, edit):
@@ -792,7 +804,7 @@ class TestCheckpoint:
             lambda c: {**c, "signal_length": 10**15},
             lambda c: {**c, "hidden": 2**62},
             lambda c: {**c, "depth": 10**12},
-            lambda c: {**c, "cond_dim": 10**400, "cond_embed": 0},
+            lambda c: {**c, "cond_dim": 10**400},
         ],
         ids=["signal_length", "hidden", "depth", "cond_dim_past_float_range"],
     )

@@ -119,6 +119,17 @@ class TestCostMatrix:
         with pytest.raises(ValidationError):
             cost_matrix(a, b)
 
+    def test_rejects_non_2d_points(self):
+        with pytest.raises(ShapeError, match="expected 2-D point arrays"):
+            cost_matrix(np.zeros(3), np.zeros(3))
+
+    @pytest.mark.parametrize("entry,kind", [(np.nan, "non-finite"), (-1.0, "negative")])
+    def test_rejects_bad_entries(self, entry, kind):
+        v = np.ones((2, 2))
+        v[0, 1] = entry
+        with pytest.raises(ValidationError, match=f"cost matrix has {kind} entries"):
+            CostMatrix(v)
+
     def test_rejects_non_square_values(self):
         with pytest.raises(ShapeError):
             CostMatrix(np.zeros((3, 4)))
@@ -263,6 +274,11 @@ class TestSolveSinkhorn:
         # Marginals still hold because the plan is rounded onto the polytope.
         assert np.abs(plan.pi.sum(axis=1) - 1.0 / c.m).max() < 1e-12
 
+    def test_rejects_bad_max_iter(self):
+        c = cost_matrix(np.zeros((3, 2)), np.ones((3, 2)))
+        with pytest.raises(ValidationError, match="max_iter must be >= 1, got 0"):
+            solve_sinkhorn(c, epsilon=1.0, max_iter=0)
+
     def test_rejects_bad_epsilon(self):
         c = cost_matrix(np.zeros((3, 2)), np.ones((3, 2)))
         with pytest.raises(ValidationError):
@@ -371,6 +387,18 @@ def test_exact_matches_the_unreduced_solve(points):
     assert np.array_equal(solve_exact(c).sigma, _reference_assignment(c))
 
 
+class TestTransportPlan:
+    def test_rejects_non_square(self):
+        with pytest.raises(ShapeError, match="transport plan must be square"):
+            TransportPlan(np.full((2, 3), 1.0 / 6.0))
+
+    def test_rejects_negative_entries(self):
+        pi = np.full((2, 2), 0.25)
+        pi[0, 0] = -0.25
+        with pytest.raises(ValidationError, match="transport plan has negative entries"):
+            TransportPlan(pi)
+
+
 class TestPlanToPairs:
     def test_sampling_recovers_sharp_plan(self):
         # A permutation plan leaves each row one column to draw.
@@ -427,6 +455,11 @@ class TestTransportCost:
         c = cost_matrix(np.zeros((3, 2)), np.ones((3, 2)))
         with pytest.raises(ShapeError):
             transport_cost(c, Assignment(np.array([0, 1])))
+
+    def test_plan_size_mismatch_rejected(self):
+        c = cost_matrix(np.zeros((3, 2)), np.ones((3, 2)))
+        with pytest.raises(ShapeError, match="plan size 2 != cost matrix size 3"):
+            transport_cost(c, TransportPlan(np.full((2, 2), 0.25)))
 
     @pytest.mark.parametrize(
         "pairing",

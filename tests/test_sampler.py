@@ -94,6 +94,13 @@ class TestSchedules:
 
 
 class TestIntegrate:
+    def test_velocity_record_past_numpys_array_limit_is_refused(self):
+        # A schedule of 2**58 steps cannot be allocated, so a stub stands in for one:
+        # its 2**58 x 4 x 2 record would pass numpy's array-size limit.
+        schedule = SimpleNamespace(taus=np.array([0.0, 1.0]), n_steps=2**58)
+        with pytest.raises(ValidationError, match=r"pass the 2\*\*60-value limit"):
+            integrate(_decay_field(-1.0), np.ones((4, 2)), schedule)
+
     def test_euler_matches_hand_rolled_steps(self):
         model = _decay_field(-1.0)
         x0 = np.array([[2.0, -1.0]])
@@ -297,7 +304,7 @@ class TestTrajectory:
 class TestBridge:
     def _model(self, cond_dim=1):
         cfg = ModelConfig(
-            signal_length=4, hidden=8, depth=1, cond_dim=cond_dim, cond_embed=4, dtype="float32"
+            signal_length=4, hidden=8, depth=1, cond_dim=cond_dim, dtype="float32"
         )
         model = VectorFieldModel(cfg, np.random.default_rng(7))
         rng = np.random.default_rng(8)
@@ -365,7 +372,7 @@ class TestBridge:
         """Bridging with a seeded, perturbed conditional MLP gives bit for bit
         the outputs, latents and both legs' velocities it has always given,
         under a shared and a per-row condition at gamma 0, 1 and 1.5."""
-        cfg = ModelConfig(signal_length=2, hidden=16, depth=2, cond_dim=1, cond_embed=4)
+        cfg = ModelConfig(signal_length=2, hidden=16, depth=2, cond_dim=1)
         model = VectorFieldModel(cfg, np.random.default_rng(31))
         rng = np.random.default_rng(32)
         for p in model.parameters():
@@ -379,7 +386,7 @@ class TestBridge:
                 r = gfb_transfer(model, x, schedule_raised_cosine(6), cond, gamma=gamma)
                 for a in (r.output, r.latent, r.encode.velocities, r.decode.velocities):
                     h.update(a.tobytes())
-        assert h.hexdigest() == "c6c827e61e9a892d974d834137424610d342067966d48137eed6b7663606afb3"
+        assert h.hexdigest() == "e6566f55a2e90db0f7df3a8fa9c934e335e2eef380f028191f30cbb381e7b024"
 
     @pytest.mark.parametrize("per_row", [False, True])
     def test_decode_context_rows(self, per_row, monkeypatch):

@@ -152,6 +152,10 @@ class TestReverb:
         k = make_reverb_kernel(0.2, 8000.0, 0.1, rng)
         assert apply_reverb(x, k).shape == x.shape
 
+    def test_apply_reverb_rejects_non_1d(self):
+        with pytest.raises(ValidationError, match="expected a 1-D signal"):
+            apply_reverb(np.zeros((2, 8)), np.array([1.0]))
+
     def test_kernel_validation(self):
         rng = np.random.default_rng(10)
         with pytest.raises(ValidationError):
@@ -177,6 +181,11 @@ class TestC50:
         rng = np.random.default_rng(11)
         k = make_reverb_kernel(0.4, 8000.0, 0.5, rng)
         assert abs(compute_c50(k, 8000.0) - compute_c50(123.4 * k, 8000.0)) < 1e-6
+
+    @pytest.mark.parametrize("fs", [0.0, -8000.0])
+    def test_non_positive_fs_rejected(self, fs):
+        with pytest.raises(ValidationError, match="sample rate must be positive"):
+            compute_c50(np.ones(8), fs)
 
     def test_no_early_energy_rejected(self):
         k = np.zeros(1000)

@@ -18,7 +18,7 @@ def _small(iterations=30, **kw):
 
 
 def _planar_model(cond_dim=0, seed_independent_of=None):
-    return ModelConfig(signal_length=2, hidden=16, depth=2, cond_dim=cond_dim, cond_embed=8)
+    return ModelConfig(signal_length=2, hidden=16, depth=2, cond_dim=cond_dim)
 
 
 class TestTrainConfig:
@@ -106,7 +106,7 @@ class TestTrain:
             h.update(name.encode())
             h.update(p.data.tobytes())
         assert len(result.history) == 20
-        assert h.hexdigest() == "1fb70752038a9beb98629e965235048084ae53379e181d0f616052eb14913894"
+        assert h.hexdigest() == "bce97316be7a7c7d957ff186e917a818b94501aaee139ecfe689e3abecf3da50"
 
     def test_conv_sinkhorn_training_golden_digest(self):
         """A short conv-backbone reverb training under Sinkhorn chunked OT gives
