@@ -110,7 +110,8 @@ def estimate_decay(signal: np.ndarray, fs: float) -> float:
     Builds the Schroeder curve (reverse cumulative energy, in dB relative to
     the total), fits a least-squares line over the -5 dB to -35 dB span, and
     extrapolates the time to fall 60 dB. Returns NaN when the span holds
-    fewer than two samples or the fitted slope is not a decay.
+    fewer than two samples, falls by no more than rounding, or the fitted
+    slope is not a decay.
     """
     signal = np.asarray(signal, dtype=np.float64)
     if signal.ndim != 1:
@@ -129,6 +130,11 @@ def estimate_decay(signal: np.ndarray, fs: float) -> float:
         return np.nan
     t = np.nonzero(mask)[0] / fs
     y = db[mask]
+    # The fit of a flat span has a slope of rounding noise, of either sign.
+    # The Schroeder curve carries the error of an n-term sum, n ulps, which
+    # is 10 log10(e) n eps in dB; a span must fall by more than that.
+    if not y[0] - y[-1] > 10.0 * np.log10(np.e) * signal.size * np.finfo(float).eps:
+        return np.nan
     slope, _ = np.polyfit(t, y, 1)
     if slope >= 0:
         return np.nan

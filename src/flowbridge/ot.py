@@ -8,7 +8,11 @@ Marginals are always uniform (1/M on both sides).
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -119,12 +123,43 @@ def solve_exact(c: CostMatrix) -> Assignment:
     Ties go to the lowest column index of the dual-reduced matrix;
     deterministic: same input, same permutation.
     """
-    # Imported here: scipy.optimize costs about 50 MB of RSS and 0.5 s that only
-    # this solver needs, so a process that never solves one never pays.
-    from scipy.optimize import linear_sum_assignment
-
-    _, cols = linear_sum_assignment(_dual_reduced(c.values))
+    # Loaded here, and only scipy's compiled solver: a process that never
+    # solves one loads no scipy module, and one that does loads one file.
+    _, cols = _linear_sum_assignment()(_dual_reduced(c.values))
     return Assignment(cols)
+
+
+_LSAP = "scipy.optimize._lsap"
+
+
+def _linear_sum_assignment():
+    """scipy's ``linear_sum_assignment``, without the rest of scipy.optimize.
+
+    The function is a built-in of the compiled extension ``_lsap``; importing
+    ``scipy.optimize`` for it loads over 300 modules, about 50 MB of RSS and
+    0.5 s. The extension file is loaded alone and registered in
+    ``sys.modules`` under its own name, so a later ``import scipy.optimize``
+    reuses it and exposes the same function. A scipy with no such file gets
+    the public import.
+    """
+    module = sys.modules.get(_LSAP)
+    if module is None:
+        scipy = importlib.util.find_spec("scipy")
+        files = [
+            Path(root, "optimize", "_lsap" + suffix)
+            for root in (scipy.submodule_search_locations if scipy else [])
+            for suffix in importlib.machinery.EXTENSION_SUFFIXES
+        ]
+        path = next((str(f) for f in files if f.is_file()), None)
+        if path is None:
+            from scipy.optimize import linear_sum_assignment
+
+            return linear_sum_assignment
+        loader = importlib.machinery.ExtensionFileLoader(_LSAP, path)
+        module = importlib.util.module_from_spec(importlib.util.spec_from_loader(_LSAP, loader))
+        loader.exec_module(module)
+        sys.modules[_LSAP] = module
+    return module.linear_sum_assignment
 
 
 # The warm start of solve_exact: epsilon falls from max(C) by this factor per

@@ -24,7 +24,10 @@ _MARGINS = (56.0, 16.0, 42.0, 46.0)  # left, right, top, bottom
 
 
 def _nice_ticks(lo: float, hi: float) -> list[float]:
-    """About five round-valued ticks covering [lo, hi]."""
+    """About five round-valued ticks covering [lo, hi], each value once.
+
+    A step below the axis's float64 spacing rounds several ticks to one value.
+    """
     span = hi - lo
     raw = span / 5
     mag = 10.0 ** np.floor(np.log10(raw))
@@ -36,7 +39,7 @@ def _nice_ticks(lo: float, hi: float) -> list[float]:
     ticks = np.arange(first, hi + 0.5 * step, step)
     # snap near-zero ticks to exactly zero for clean labels
     ticks[np.abs(ticks) < 1e-12 * step] = 0.0
-    return [float(t) for t in ticks]
+    return [float(t) for t in np.unique(ticks)]
 
 
 def _widen(lo: float, hi: float) -> tuple[float, float]:

@@ -198,9 +198,17 @@ class TestEstimateDecay:
 
     def test_flat_fit_marked_invalid(self, monkeypatch):
         # A slope of 0 or more is no decay. The Schroeder curve never rises, so
-        # only rounding in the fit of a flat span gives one: the fit is stubbed.
+        # only rounding in a fit could give one: the fit is stubbed.
         monkeypatch.setattr(np, "polyfit", lambda t, y, deg: (0.0, float(y[0])))
-        assert np.isnan(estimate_decay(np.array([1.0, 0.0, 0.0, 0.1]), 8000.0))
+        assert np.isnan(estimate_decay(np.array([1.0, 0.5, 0.25, 0.1]), 8000.0))
+
+    @pytest.mark.parametrize("zeros", [1, 2, 3, 4, 5])
+    def test_flat_span_marked_invalid(self, zeros):
+        # The span holds only -20 dB values; its fitted slope is rounding noise
+        # of either sign, which read as a T60 of 8.4e12 s with one zero and of
+        # 4.1e14 s with five.
+        x = np.array([1.0] + [0.0] * zeros + [0.1])
+        assert np.isnan(estimate_decay(x, 8000.0))
 
     def test_non_1d_rejected(self):
         with pytest.raises(ShapeError, match="expected a 1-D signal"):

@@ -262,6 +262,18 @@ class TestSvgFigure:
         fig.line([0, 1, 2], [1.0, 1.0, 1.0])
         ET.fromstring(fig.render())
 
+    @pytest.mark.parametrize("vertical", [False, True])
+    def test_ticks_below_the_axis_spacing_drawn_once(self, vertical):
+        # A 0.5 step on an axis at 2**52 rounds ticks onto the same float.
+        v = [2.0**52 + 1] * 2
+        fig = SvgFigure()
+        fig.line(*((v, [0, 1]) if vertical else ([0, 1], v)))
+        root = ET.fromstring(fig.render())
+        lines = [e.attrib for e in root.iter("{http://www.w3.org/2000/svg}line")]
+        # x ticks run down from the frame's bottom; y ticks left from its left edge.
+        ticks = [(a["x1"], a["y1"]) for a in lines if (a["x1"] != a["x2"]) != vertical]
+        assert ticks and len(set(ticks)) == len(ticks), ticks
+
     @pytest.mark.parametrize("v", [1e17, -1e17, 1e300])
     def test_constant_far_from_zero_renders(self, v):
         # Past about 2**53 a widening by 0.5 rounds away; the axis spans v +- |v|/2.
