@@ -1,16 +1,13 @@
 """Binary checkpoint format for models.
 
-Layout: 8-byte magic, uint32 LE format version, uint32 LE header length, a
-UTF-8 JSON header (model config, parameter manifest, caller extras), then the
-raw little-endian parameter payload in manifest order. Floats round-trip
-bit-exactly.
+A `signalio` frame: magic `FBRIDGE1`, version 3, a JSON header (model config,
+parameter manifest, caller extras), then the raw little-endian parameter
+payload in manifest order. Floats round-trip bit-exactly.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import struct
 from dataclasses import asdict
 from itertools import zip_longest
 from pathlib import Path
@@ -19,6 +16,7 @@ import numpy as np
 
 from ..config import build_config
 from ..exceptions import CheckpointError, ConfigError
+from ..signalio import read_frame, write_frame
 from .model import ModelConfig, VectorFieldModel, param_layout
 
 __all__ = ["save_checkpoint", "load_checkpoint"]
@@ -33,34 +31,13 @@ def save_checkpoint(path: str | Path, model: VectorFieldModel, extra: dict | Non
     wire = _WIRE[model.config.dtype]
     manifest = [[name, list(p.data.shape)] for name, p in model.params.items()]
     header = {"config": asdict(model.config), "extra": extra or {}, "params": manifest}
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    chunks = [MAGIC, struct.pack("<II", VERSION, len(blob)), blob]
-    for p in model.params.values():
-        chunks.append(np.ascontiguousarray(p.data, dtype=wire).tobytes())
-    Path(path).write_bytes(b"".join(chunks))
+    chunks = [np.ascontiguousarray(p.data, dtype=wire).tobytes() for p in model.params.values()]
+    write_frame(path, MAGIC, VERSION, header, b"".join(chunks))
 
 
 def load_checkpoint(path: str | Path) -> tuple[VectorFieldModel, dict]:
     """Rebuild a model bit-exactly from disk; returns it with the extra metadata."""
-    raw = Path(path).read_bytes()
-    if len(raw) < len(MAGIC) + 8:
-        raise CheckpointError(f"{path}: file too short to be a checkpoint")
-    if raw[: len(MAGIC)] != MAGIC:
-        raise CheckpointError(f"{path}: bad magic bytes")
-    version, header_len = struct.unpack_from("<II", raw, len(MAGIC))
-    if version != VERSION:
-        raise CheckpointError(f"{path}: unsupported format version {version}")
-    offset = len(MAGIC) + 8
-    if offset + header_len > len(raw):
-        raise CheckpointError(f"{path}: truncated header")
-    try:
-        header = json.loads(raw[offset : offset + header_len].decode("utf-8"))
-    except ValueError as exc:  # bad UTF-8 or JSON, or an integer too long to parse
-        raise CheckpointError(f"{path}: corrupt header ({exc})") from exc
-    if not isinstance(header, dict):
-        raise CheckpointError(f"{path}: header must be an object")
-    offset += header_len
-
+    header, payload = read_frame(path, MAGIC, VERSION, CheckpointError, "checkpoint")
     try:
         config = build_config(ModelConfig, header.get("config"), "config")
     except ConfigError as exc:
@@ -82,14 +59,15 @@ def load_checkpoint(path: str | Path) -> tuple[VectorFieldModel, dict]:
         raise CheckpointError(f"{path}: extra metadata must be an object")
     wire = np.dtype(_WIRE[config.dtype])
     nbytes = sum(math.prod(shape) for _, shape in manifest) * wire.itemsize
-    if offset + nbytes > len(raw):
+    if nbytes > len(payload):
         raise CheckpointError(f"{path}: truncated payload")
-    if offset + nbytes != len(raw):
-        raise CheckpointError(f"{path}: {len(raw) - offset - nbytes} trailing bytes after payload")
+    if nbytes != len(payload):
+        raise CheckpointError(f"{path}: {len(payload) - nbytes} trailing bytes after payload")
 
     model = VectorFieldModel(config, np.random.default_rng(0))
+    offset = 0
     for p in model.params.values():
-        arr = np.frombuffer(raw, dtype=wire, count=p.data.size, offset=offset)
+        arr = np.frombuffer(payload, dtype=wire, count=p.data.size, offset=offset)
         p.data = arr.astype(config.np_dtype).reshape(p.data.shape)
         offset += p.data.size * wire.itemsize
     return model, extra

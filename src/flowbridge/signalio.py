@@ -1,7 +1,8 @@
-"""File formats for signal batches and metric tables.
+"""File formats: the binary frame of signal batches and checkpoints, and CSV tables.
 
-Signal batches are stored as raw little-endian float32 with a JSON sidecar
-(same path plus ".json") carrying the shape and sample rate. Tables are plain
+A frame is an 8-byte magic, a uint32 LE version, a uint32 LE header length, a
+sorted-key UTF-8 JSON object header, then the payload. A signal batch is one
+frame whose payload is (B, N) little-endian float32 samples. Tables are plain
 CSV; floats are written with repr so they round-trip exactly.
 """
 
@@ -11,53 +12,78 @@ import csv
 import io
 import json
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
 
 from .exceptions import CsvFormatError, ValidationError
 
-__all__ = ["save_signals", "load_signals", "write_csv", "read_csv", "format_value"]
+__all__ = ["save_signals", "load_signals", "write_frame", "read_frame", "write_csv", "read_csv",
+           "format_value"]
+
+MAGIC = b"FBSIGNAL"
+VERSION = 1
+
+
+def write_frame(path: str | Path, magic: bytes, version: int, header: dict, payload: bytes) -> None:
+    """Write the magic, the version, the sorted-key JSON header and its length, then the payload."""
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    Path(path).write_bytes(b"".join([magic, struct.pack("<II", version, len(blob)), blob, payload]))
+
+
+def read_frame(path, magic: bytes, version: int, error: type, kind: str) -> tuple[dict, memoryview]:
+    """The header and payload of a framed file; a framing fault raises `error` naming the path
+    (and, for a file too short or a wrong magic, the format `kind`)."""
+    raw = Path(path).read_bytes()
+    start = len(magic) + 8
+    if len(raw) < start:
+        raise error(f"{path}: file too short to be a {kind}")
+    if raw[: len(magic)] != magic:
+        raise error(f"{path}: bad magic bytes, not a {kind}")
+    got, header_len = struct.unpack_from("<II", raw, len(magic))
+    if got != version:
+        raise error(f"{path}: unsupported format version {got}")
+    end = start + header_len
+    if end > len(raw):
+        raise error(f"{path}: truncated header")
+    try:
+        header = json.loads(raw[start:end].decode("utf-8"))
+    except ValueError as exc:  # bad UTF-8 or JSON, or an integer too long to parse
+        raise error(f"{path}: corrupt header ({exc})") from exc
+    if not isinstance(header, dict):
+        raise error(f"{path}: header must be an object")
+    return header, memoryview(raw)[end:]
+
+
+def _signal_header(path, shape, fs) -> dict:
+    """The one `.fbs` header rule, on save and on load: two positive int sizes and an `fs`
+    that is null or a finite number > 0, bools refused; a numpy real is stored as a float."""
+    if not (isinstance(shape, list) and len(shape) == 2
+            and all(type(n) is int and n > 0 for n in shape)):
+        raise ValidationError(f"{path}: expected (B, N) signals, B and N > 0, got {shape!r}")
+    if isinstance(fs, (np.integer, np.floating)):
+        fs = float(fs)
+    # Compared, not math.isfinite: a JSON integer past the float range must not overflow.
+    if fs is not None and not (type(fs) in (int, float) and 0 < fs < math.inf):
+        raise ValidationError(f"{path}: fs must be null or a finite number > 0, got {fs!r}")
+    return {"fs": fs, "shape": shape}
 
 
 def save_signals(path: str | Path, values: np.ndarray, fs: float | None = None) -> None:
     values = np.asarray(values)
-    if values.ndim != 2:
-        raise ValidationError(f"expected (B, N) signals, got {values.shape}")
-    path = Path(path)
-    path.write_bytes(np.ascontiguousarray(values, dtype="<f4").tobytes())
-    sidecar = {"dtype": "float32", "fs": fs, "shape": list(values.shape)}
-    Path(str(path) + ".json").write_text(json.dumps(sidecar, sort_keys=True) + "\n")
+    header = _signal_header(path, list(values.shape), fs)
+    write_frame(path, MAGIC, VERSION, header, np.ascontiguousarray(values, dtype="<f4").tobytes())
 
 
 def load_signals(path: str | Path) -> tuple[np.ndarray, float | None]:
-    path = Path(path)
-    sidecar_path = Path(str(path) + ".json")
-    if not sidecar_path.exists():
-        raise ValidationError(f"missing sidecar {sidecar_path}")
-    try:
-        meta = json.loads(sidecar_path.read_text())
-        shape = tuple(meta["shape"])
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ValidationError(f"{sidecar_path}: corrupt sidecar ({exc!r})") from exc
-    if len(shape) != 2 or not all(type(n) is int and n > 0 for n in shape):
-        raise ValidationError(
-            f"{sidecar_path}: sidecar shape must be two positive integers, got {list(shape)}"
-        )
-    fs = meta.get("fs")
-    if fs is not None and not (type(fs) in (int, float) and math.isfinite(fs) and fs > 0):
-        raise ValidationError(
-            f"{sidecar_path}: corrupt sidecar (fs must be null or a finite number > 0, got {fs!r})"
-        )
-    if meta.get("dtype", "float32") != "float32":
-        raise ValidationError(f"{sidecar_path}: corrupt sidecar (dtype must be float32)")
-    payload = path.read_bytes()
-    if len(payload) != 4 * shape[0] * shape[1]:
-        raise ValidationError(
-            f"{path}: payload holds {len(payload)} bytes, sidecar says {shape} float32 samples"
-        )
+    header, payload = read_frame(path, MAGIC, VERSION, ValidationError, "signal batch")
+    header = _signal_header(path, header.get("shape"), header.get("fs"))
+    rows, length = header["shape"]
+    if len(payload) != 4 * rows * length:
+        raise ValidationError(f"{path}: payload is {len(payload)} bytes, not {4 * rows * length}")
     raw = np.frombuffer(payload, dtype="<f4")
-    return raw.reshape(shape).astype(np.float32), fs
+    return raw.reshape(rows, length).astype(np.float32), header["fs"]
 
 
 def format_value(x) -> str:

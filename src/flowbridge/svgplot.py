@@ -24,10 +24,7 @@ _MARGINS = (56.0, 16.0, 42.0, 46.0)  # left, right, top, bottom
 
 
 def _nice_ticks(lo: float, hi: float) -> list[float]:
-    """About five round-valued ticks covering [lo, hi], each value once.
-
-    A step below the axis's float64 spacing rounds several ticks to one value.
-    """
+    """About five round-valued ticks covering [lo, hi]."""
     span = hi - lo
     raw = span / 5
     mag = 10.0 ** np.floor(np.log10(raw))
@@ -39,15 +36,23 @@ def _nice_ticks(lo: float, hi: float) -> list[float]:
     ticks = np.arange(first, hi + 0.5 * step, step)
     # snap near-zero ticks to exactly zero for clean labels
     ticks[np.abs(ticks) < 1e-12 * step] = 0.0
-    return [float(t) for t in np.unique(ticks)]
+    return [float(t) for t in ticks]
 
 
 def _widen(lo: float, hi: float) -> tuple[float, float]:
-    """A constant axis widened by 0.5 each way, or by |v|/2 where 0.5 rounds away."""
-    if lo != hi:
-        return lo, hi
-    half = 0.5 if lo - 0.5 != lo + 0.5 else 0.5 * abs(lo)
-    return lo - half, hi + half
+    """An axis whose ticks read apart in six-digit labels.
+
+    A constant axis widens by 0.5 each way; then an axis narrower than 1e-4 of its
+    largest |value| widens about its centre to that width. A tick step is then at
+    least 2e-5 of that value, twice what a six-digit label resolves.
+    """
+    if lo == hi:
+        lo, hi = lo - 0.5, hi + 0.5
+    width = 1e-4 * max(abs(lo), abs(hi))
+    if hi - lo < width:
+        mid = lo + 0.5 * (hi - lo)
+        lo, hi = mid - 0.5 * width, mid + 0.5 * width
+    return lo, hi
 
 
 @dataclass

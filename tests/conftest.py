@@ -1,8 +1,11 @@
-"""Session-scoped trained models shared by the acceptance suite.
+"""Session-scoped trained models shared by the acceptance suite, and the table
+of binary frame faults shared by the `.fbs`/`.fbc` loader and CLI tests.
 
 Training these once keeps the acceptance module inside its stated runtime
 budgets; every test that consumes them is read-only.
 """
+
+import struct
 
 import numpy as np
 import pytest
@@ -16,6 +19,29 @@ RING_ITERS = 10000
 _BATCH = 256
 _LR = 1e-3
 _SEED = 11
+
+
+def _reframed(raw, version=None, header=None, header_len=None):
+    """A valid frame with its version, header bytes or stated header length replaced."""
+    old_version, old_len = struct.unpack_from("<II", raw, 8)
+    head = raw[16 : 16 + old_len] if header is None else header
+    version = old_version if version is None else version
+    header_len = len(head) if header_len is None else header_len
+    return raw[:8] + struct.pack("<II", version, header_len) + head + raw[16 + old_len :]
+
+
+# Each fault maps the bytes of a valid `.fbs` or `.fbc` file to a malformed one.
+FRAME_FAULTS = {
+    "too_short": lambda raw: raw[:12],
+    "bad_magic": lambda raw: b"NOTMAGIC" + raw[8:],
+    "wrong_version": lambda raw: _reframed(raw, version=99),
+    "header_past_end": lambda raw: _reframed(raw, header_len=len(raw)),
+    "header_not_utf8": lambda raw: _reframed(raw, header=b'{"a": "\xff"}'),
+    "header_not_json": lambda raw: _reframed(raw, header=b"{nope"),
+    "header_not_object": lambda raw: _reframed(raw, header=b"[]"),
+    "truncated_payload": lambda raw: raw[:-4],
+    "trailing_bytes": lambda raw: raw + b"\x00" * 4,
+}
 
 
 @pytest.fixture(scope="session")

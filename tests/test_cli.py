@@ -15,6 +15,8 @@ from flowbridge.sampler import SCHEDULES, integrate
 from flowbridge.signalio import load_signals, read_csv, save_signals
 from flowbridge.tasks import TaskSpec, gen_two_moons, make_training_stream
 
+from conftest import FRAME_FAULTS
+
 
 def _assert_one_error_line(rc, capsys, needle):
     """The command exited 1 with exactly one `error:` line on stderr, containing needle."""
@@ -443,15 +445,25 @@ def test_bridge_non_numeric_condition(planar_run, tmp_path, capsys):
     _assert_one_error_line(rc, capsys, "--condition")
 
 
-def test_bridge_corrupt_sidecar(planar_run, tmp_path, capsys):
+@pytest.mark.parametrize("fault", list(FRAME_FAULTS))
+@pytest.mark.parametrize("command", ["bridge_input", "bridge_checkpoint", "eval_checkpoint"])
+def test_frame_fault_is_one_error_line(planar_run, tmp_path, capsys, command, fault):
     sig_path = tmp_path / "in.fbs"
     save_signals(sig_path, np.zeros((2, 2), dtype=np.float32))
-    (tmp_path / "in.fbs.json").write_text("{not json")
-    rc = main([
-        "bridge", "--checkpoint", str(planar_run / "model.fbc"),
-        "--input", str(sig_path), "--out", str(tmp_path / "b"),
-    ])
-    _assert_one_error_line(rc, capsys, "corrupt sidecar")
+    ckpt = planar_run / "model.fbc"
+    good = sig_path if command == "bridge_input" else ckpt
+    bad = tmp_path / f"bad{good.suffix}"
+    bad.write_bytes(FRAME_FAULTS[fault](good.read_bytes()))
+    argv = {
+        "bridge_input": ["bridge", "--checkpoint", str(ckpt), "--input", str(bad)],
+        "bridge_checkpoint": ["bridge", "--checkpoint", str(bad), "--input", str(sig_path)],
+        "eval_checkpoint": ["eval", "--checkpoint", str(bad), "--samples", "8", "--steps", "2"],
+    }[command]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    rc = main([*argv, "--out", str(out)])
+    _assert_one_error_line(rc, capsys, f"error: {bad}: ")
+    assert not out.exists()
 
 
 def test_bridge_rejects_gamma_without_condition(planar_run, tmp_path, capsys):

@@ -1,6 +1,8 @@
-"""Tests for config handling, signal/CSV files, and SVG rendering."""
+"""Tests for config handling, binary frames, signal/CSV files, and SVG rendering."""
 
 import json
+import re
+import struct
 import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -11,9 +13,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowbridge.config import apply_overrides, dump_config, load_config
-from flowbridge.exceptions import ConfigError, CsvFormatError, ValidationError
+from flowbridge.exceptions import CheckpointError, ConfigError, CsvFormatError, ValidationError
+from flowbridge.nn import ModelConfig, VectorFieldModel, load_checkpoint, save_checkpoint
 from flowbridge.signalio import format_value, load_signals, read_csv, save_signals, write_csv
 from flowbridge.svgplot import PALETTE, SvgFigure
+
+from conftest import FRAME_FAULTS
 
 
 class TestConfig:
@@ -62,6 +67,10 @@ class TestConfig:
             apply_overrides({"a": 3}, ["a.b=1"])
 
 
+def _signal_frame(header: bytes, payload: bytes = bytes(64)) -> bytes:
+    return b"FBSIGNAL" + struct.pack("<II", 1, len(header)) + header + payload
+
+
 class TestSignalFiles:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -72,12 +81,17 @@ class TestSignalFiles:
         assert np.array_equal(x, y)
         assert fs == 8000.0
 
-    def test_sidecar_contents(self, tmp_path):
+    def test_header_contents(self, tmp_path):
         p = tmp_path / "sig.fbs"
-        save_signals(p, np.zeros((2, 8), dtype=np.float32), fs=4000.0)
-        meta = json.loads((tmp_path / "sig.fbs.json").read_text())
-        assert meta["shape"] == [2, 8]
-        assert meta["dtype"] == "float32"
+        x = np.arange(16, dtype=np.float32).reshape(2, 8)
+        save_signals(p, x, fs=4000.0)
+        raw = p.read_bytes()
+        version, header_len = struct.unpack_from("<II", raw, 8)
+        assert raw[:8] == b"FBSIGNAL" and version == 1
+        assert json.loads(raw[16 : 16 + header_len]) == {"fs": 4000.0, "shape": [2, 8]}
+        # The payload starts at byte 16 + header length.
+        assert np.array_equal(np.fromfile(p, "<f4", offset=16 + header_len).reshape(2, 8), x)
+        assert [f.name for f in tmp_path.iterdir()] == ["sig.fbs"]
 
     def test_size_mismatch_detected(self, tmp_path):
         p = tmp_path / "sig.fbs"
@@ -87,45 +101,86 @@ class TestSignalFiles:
             load_signals(p)
 
     @pytest.mark.parametrize(
-        "sidecar",
+        "header",
         [
             '{"shape": [2, 8', '{"fs": 8000.0}', '[2, 8]', '{"shape": "2x8"}',
             '{"shape": [-2, -8]}', '{"shape": [0, 8]}',
             '{"shape": [2, 8], "fs": "abc"}', '{"shape": [2, 8], "fs": -5.0}',
             '{"shape": [2, 8], "fs": true}', '{"shape": [2, 8], "fs": NaN}',
-            '{"shape": [2, 8], "dtype": "float64"}',
         ],
         ids=[
             "truncated_json", "no_shape", "not_object", "shape_string", "negative_dims",
-            "zero_rows", "fs_string", "fs_negative", "fs_bool", "fs_nan", "dtype_float64",
+            "zero_rows", "fs_string", "fs_negative", "fs_bool", "fs_nan",
         ],
     )
-    def test_corrupt_sidecar(self, tmp_path, sidecar):
+    def test_corrupt_sidecar(self, tmp_path, header):
+        """Each check the two-file format made on its `.fbs.json` sidecar, made on the header."""
         p = tmp_path / "sig.fbs"
-        save_signals(p, np.zeros((2, 8), dtype=np.float32))
-        (tmp_path / "sig.fbs.json").write_text(sidecar)
-        with pytest.raises(ValidationError, match="corrupt sidecar|sidecar shape"):
+        p.write_bytes(_signal_frame(header.encode()))
+        with pytest.raises(
+            ValidationError, match="corrupt header|header must be|expected .B, N. signals|fs must be"
+        ):
             load_signals(p)
 
     def test_save_rejects_non_2d(self, tmp_path):
         with pytest.raises(ValidationError, match=r"expected \(B, N\) signals"):
             save_signals(tmp_path / "sig.fbs", np.zeros(8, dtype=np.float32))
 
-    def test_missing_sidecar(self, tmp_path):
-        p = tmp_path / "naked.fbs"
-        p.write_bytes(b"\x00" * 16)
-        with pytest.raises(ValidationError):
+    def test_save_rejects_an_empty_batch(self, tmp_path):
+        p = tmp_path / "sig.fbs"
+        with pytest.raises(ValidationError, match=r"expected \(B, N\) signals"):
+            save_signals(p, np.zeros((0, 8), dtype=np.float32))
+        assert not p.exists()
+
+    @pytest.mark.parametrize(
+        "fs",
+        [np.nan, np.inf, -8000.0, 0.0, True, "8000", np.bool_(True)],
+        ids=["nan", "inf", "negative", "zero", "bool", "string", "numpy_bool"],
+    )
+    def test_save_refuses_an_fs_the_loader_refuses(self, tmp_path, fs):
+        p = tmp_path / "sig.fbs"
+        with pytest.raises(ValidationError, match="fs must be null or a finite number > 0"):
+            save_signals(p, np.zeros((2, 8), dtype=np.float32), fs=fs)
+        assert not p.exists()
+
+    @pytest.mark.parametrize(
+        "fs", [np.float32(8000), np.float64(8000.5), np.int64(8000)],
+        ids=["float32", "float64", "int64"],
+    )
+    def test_save_stores_a_numpy_real_as_float(self, tmp_path, fs):
+        p = tmp_path / "sig.fbs"
+        save_signals(p, np.zeros((2, 8), dtype=np.float32), fs=fs)
+        _, loaded = load_signals(p)
+        assert type(loaded) is float and loaded == float(fs)
+
+    def test_fs_past_the_float_range(self, tmp_path):
+        # A JSON integer past the float range is a finite number; 1e400 parses as inf.
+        p = tmp_path / "sig.fbs"
+        p.write_bytes(_signal_frame(b'{"fs": 1' + b"0" * 400 + b', "shape": [2, 8]}'))
+        assert load_signals(p)[1] == 10**400
+        p.write_bytes(_signal_frame(b'{"fs": 1e400, "shape": [2, 8]}'))
+        with pytest.raises(ValidationError, match="fs must be"):
+            load_signals(p)
+
+    def test_old_two_file_payload_refused(self, tmp_path):
+        # A raw float32 payload with its `.fbs.json` sidecar, as written before the one-file format.
+        p = tmp_path / "old.fbs"
+        p.write_bytes(np.zeros((2, 8), dtype="<f4").tobytes())
+        (tmp_path / "old.fbs.json").write_text('{"dtype": "float32", "fs": null, "shape": [2, 8]}')
+        with pytest.raises(ValidationError, match=re.escape(f"{p}: bad magic bytes")):
             load_signals(p)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(pos=st.integers(0, 63), truncate=st.booleans(), byte=st.integers(0, 255))
-    @example(pos=63, truncate=True, byte=0)
+    @given(pos=st.integers(0, 10**4), truncate=st.booleans(), byte=st.integers(0, 255))
+    @example(pos=110, truncate=True, byte=0)
     def test_fuzzed_payload_raises_only_validation_errors(self, pos, truncate, byte):
         x = np.arange(16, dtype=np.float32).reshape(2, 8)
         with tempfile.TemporaryDirectory() as tmp:
             p = Path(tmp) / "sig.fbs"
             save_signals(p, x, fs=8000.0)
             raw = bytearray(p.read_bytes())
+            pos %= len(raw)
+            payload_start = len(raw) - x.nbytes
             if truncate:
                 del raw[pos:]
             else:
@@ -134,9 +189,26 @@ class TestSignalFiles:
             try:
                 y, _ = load_signals(p)
             except ValidationError:
-                assert truncate
+                assert truncate or pos < payload_start
             else:
                 assert not truncate and y.shape == x.shape
+
+
+@pytest.mark.parametrize("fault", list(FRAME_FAULTS))
+@pytest.mark.parametrize("fmt", ["fbs", "fbc"])
+def test_frame_fault_refused_by_its_loader(tmp_path, fmt, fault):
+    path = tmp_path / f"file.{fmt}"
+    if fmt == "fbs":
+        save_signals(path, np.zeros((2, 8), dtype=np.float32), fs=8000.0)
+        load, error = load_signals, ValidationError
+    else:
+        model = VectorFieldModel(ModelConfig(signal_length=2, hidden=4, depth=1),
+                                 np.random.default_rng(0))
+        save_checkpoint(path, model, extra={"seed": 0})
+        load, error = load_checkpoint, CheckpointError
+    path.write_bytes(FRAME_FAULTS[fault](path.read_bytes()))
+    with pytest.raises(error, match=re.escape(str(path))):
+        load(path)
 
 
 class TestCsv:
@@ -246,9 +318,8 @@ class TestSvgFigure:
 
     @pytest.mark.parametrize(
         "ys",
-        [(-1e308, 1e308), (0.0, 1.7e308), (1.7e308, 1.7e308), (0.0, 5e-324)],
-        ids=["span-overflows", "padded-top-overflows", "constant-widening-overflows",
-             "step-underflows"],
+        [(-1e308, 1e308), (0.0, 1.7e308), (0.0, 5e-324)],
+        ids=["span-overflows", "padded-top-overflows", "step-underflows"],
     )
     def test_undrawable_axis_rejected(self, ys):
         for xs, y in (([0, 1], ys), (ys, [0, 1])):
@@ -274,10 +345,26 @@ class TestSvgFigure:
         ticks = [(a["x1"], a["y1"]) for a in lines if (a["x1"] != a["x2"]) != vertical]
         assert ticks and len(set(ticks)) == len(ticks), ticks
 
-    @pytest.mark.parametrize("v", [1e17, -1e17, 1e300])
+    @pytest.mark.parametrize("v", [1e17, -1e17, 1e300, 1.7e308])
     def test_constant_far_from_zero_renders(self, v):
-        # Past about 2**53 a widening by 0.5 rounds away; the axis spans v +- |v|/2.
+        # Past about 2**53 a widening by 0.5 rounds away; the axis spans v +- |v|/2e4.
         for xs, ys in (([0, 1], [v, v]), ([v, v], [0, 1])):
             fig = SvgFigure()
             fig.line(xs, ys)
             ET.fromstring(fig.render())
+
+    @pytest.mark.parametrize(
+        "v",
+        [[1e15 + 1, 1e15 + 2], [1e6, 1e6], [123456.1, 123456.2]],
+        ids=["narrow-at-1e15", "constant-1e6", "narrow-at-123456"],
+    )
+    def test_tick_labels_read_apart(self, v):
+        ns = {"s": "http://www.w3.org/2000/svg"}
+        for xs, ys in (([0, 1], v), (v, [0, 1])):
+            fig = SvgFigure()
+            fig.line(xs, ys)
+            root = ET.fromstring(fig.render())
+            for anchor in ("middle", "end"):  # x tick labels, y tick labels
+                labels = [t.text for t in root.findall(".//s:text", ns)
+                          if t.get("font-size") == "11" and t.get("text-anchor") == anchor]
+                assert labels and len(set(labels)) == len(labels), labels
