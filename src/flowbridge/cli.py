@@ -198,8 +198,15 @@ def _add_sampling_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--schedule", default="raised_cosine", choices=list(SCHEDULES))
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ConfigError, so it is one `error:` line and exit 1."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="flowbridge",
         description="Flow-matching bridges with chunked minibatch OT couplings.",
     )
@@ -241,9 +248,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         for flag, low in (("samples", 1), ("seed", 0)):
             if getattr(args, flag, None) is not None:
                 check_int_fields(args, flag, low=low)

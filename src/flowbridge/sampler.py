@@ -162,28 +162,28 @@ def integrate(
         v = model.velocity(x, tau, condition)
         if blend:
             v_null = model.velocity(x, tau, None)
-            # An overflow here surfaces as the DivergenceError below.
-            with np.errstate(over="ignore", invalid="ignore"):
-                v = gamma * v + (1.0 - gamma) * v_null
+            v = gamma * v + (1.0 - gamma) * v_null
         return v
 
     if n_steps * x.size >= MAX_ARRAY_VALUES:
         raise ValidationError(f"{n_steps} steps of {x.size} values pass the 2**60-value limit")
     velocities = np.empty((n_steps,) + x.shape, dtype=x.dtype)
-    for i in range(n_steps):
-        tau_cur, tau_next = float(taus[i]), float(taus[i + 1])
-        dt = tau_next - tau_cur
-        if method == "euler":
-            v = guided_field(x, tau_cur)
-        else:
-            k1 = guided_field(x, tau_cur)
-            mid_tau = min(max(tau_cur + 0.5 * dt, 0.0), 1.0)
-            v = guided_field(x + (0.5 * dt) * k1, mid_tau)
-        with np.errstate(over="ignore", invalid="ignore"):
+    # An overflow anywhere in a step, the network included, surfaces as the
+    # DivergenceError below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n_steps):
+            tau_cur, tau_next = float(taus[i]), float(taus[i + 1])
+            dt = tau_next - tau_cur
+            if method == "euler":
+                v = guided_field(x, tau_cur)
+            else:
+                k1 = guided_field(x, tau_cur)
+                mid_tau = min(max(tau_cur + 0.5 * dt, 0.0), 1.0)
+                v = guided_field(x + (0.5 * dt) * k1, mid_tau)
             x = x + dt * v
-        if not np.all(np.isfinite(x)):
-            raise DivergenceError(step=i, tau=tau_next)
-        velocities[i] = v
+            if not np.all(np.isfinite(x)):
+                raise DivergenceError(step=i, tau=tau_next)
+            velocities[i] = v
     return Trajectory(start, x, velocities, np.asarray(taus, dtype=np.float64))
 
 

@@ -126,71 +126,58 @@ class SvgFigure:
         def py(y):
             return h - mb - (y - y0) / (y1 - y0) * (h - mt - mb)
 
-        def fmt(v):
-            return f"{v:.6g}"
+        def points(xs, ys):
+            return [f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys)]
+
+        # A tick at pixel p: its mark's two ends and its label's anchor point.
+        def x_tick(p):  # down from the frame's bottom edge
+            return (p, h - mb), (p, h - mb + 5), (p, h - mb + 18)
+
+        def y_tick(p):  # left from the frame's left edge
+            return (ml - 5, p), (ml, p), (ml - 8, p + 4)
 
         parts = [
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{w:g}" height="{h:g}" '
             f'viewBox="0 0 {w:g} {h:g}">',
             f'<rect width="{w:g}" height="{h:g}" fill="white"/>',
-        ]
-        # axes frame
-        parts.append(
             f'<rect x="{ml:g}" y="{mt:g}" width="{w - ml - mr:g}" height="{h - mt - mb:g}" '
-            'fill="none" stroke="#333" stroke-width="1"/>'
+            'fill="none" stroke="#333" stroke-width="1"/>',
+        ]
+        for lo, hi, to_px, tick, anchor in ((x0, x1, px, x_tick, "middle"),
+                                            (y0, y1, py, y_tick, "end")):
+            for t in _nice_ticks(lo, hi):
+                if not lo <= t <= hi:
+                    continue
+                (ax, ay), (bx, by), (lx, ly) = tick(to_px(t))
+                parts += [
+                    f'<line x1="{ax:.2f}" y1="{ay:.2f}" x2="{bx:.2f}" y2="{by:.2f}" stroke="#333"/>',
+                    f'<text x="{lx:.2f}" y="{ly:.2f}" font-size="11" '
+                    f'text-anchor="{anchor}" fill="#333">{t:.6g}</text>',
+                ]
+        cy = f"{(mt + h - mb) / 2:.2f}"
+        captions = (  # text, x, y, font size, extra attribute
+            (self.title, f"{w / 2:.2f}", f"{mt - 14:.2f}", 14, ""),
+            (self.xlabel, f"{(ml + w - mr) / 2:.2f}", f"{h - 8:.2f}", 12, ""),
+            (self.ylabel, "14", cy, 12, f' transform="rotate(-90 14 {cy})"'),
         )
-        for t in _nice_ticks(x0, x1):
-            if not x0 <= t <= x1:
-                continue
-            parts.append(
-                f'<line x1="{px(t):.2f}" y1="{h - mb:.2f}" x2="{px(t):.2f}" '
-                f'y2="{h - mb + 5:.2f}" stroke="#333"/>'
-            )
-            parts.append(
-                f'<text x="{px(t):.2f}" y="{h - mb + 18:.2f}" font-size="11" '
-                f'text-anchor="middle" fill="#333">{fmt(t)}</text>'
-            )
-        for t in _nice_ticks(y0, y1):
-            if not y0 <= t <= y1:
-                continue
-            parts.append(
-                f'<line x1="{ml - 5:.2f}" y1="{py(t):.2f}" x2="{ml:.2f}" '
-                f'y2="{py(t):.2f}" stroke="#333"/>'
-            )
-            parts.append(
-                f'<text x="{ml - 8:.2f}" y="{py(t) + 4:.2f}" font-size="11" '
-                f'text-anchor="end" fill="#333">{fmt(t)}</text>'
-            )
-        if self.title:
-            parts.append(
-                f'<text x="{w / 2:.2f}" y="{mt - 14:.2f}" font-size="14" '
-                f'text-anchor="middle" fill="#111">{escape(self.title, quote=False)}</text>'
-            )
-        if self.xlabel:
-            parts.append(
-                f'<text x="{(ml + w - mr) / 2:.2f}" y="{h - 8:.2f}" font-size="12" '
-                f'text-anchor="middle" fill="#111">{escape(self.xlabel, quote=False)}</text>'
-            )
-        if self.ylabel:
-            cy = (mt + h - mb) / 2
-            parts.append(
-                f'<text x="14" y="{cy:.2f}" font-size="12" text-anchor="middle" '
-                f'transform="rotate(-90 14 {cy:.2f})" fill="#111">'
-                f"{escape(self.ylabel, quote=False)}</text>"
-            )
+        for text, x, y, size, extra in captions:
+            if text:
+                parts.append(
+                    f'<text x="{x}" y="{y}" font-size="{size}" text-anchor="middle"{extra} '
+                    f'fill="#111">{escape(text, quote=False)}</text>'
+                )
 
         for s in self._series:
-            if s.kind == "band":
-                fwd = [f"{px(x):.2f},{py(y):.2f}" for x, y in zip(s.xs, s.ys)]
-                rev = [f"{px(x):.2f},{py(y):.2f}" for x, y in zip(s.xs[::-1], s.y2[::-1])]
+            pts = points(s.xs, s.ys)
+            if s.kind == "band":  # the lower edge, then the upper edge back
+                pts += points(s.xs[::-1], s.y2[::-1])
                 parts.append(
-                    f'<polygon points="{" ".join(fwd + rev)}" fill="{s.color}" '
+                    f'<polygon points="{" ".join(pts)}" fill="{s.color}" '
                     'opacity="0.25" stroke="none"/>'
                 )
             else:
-                pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(s.xs, s.ys))
                 parts.append(
-                    f'<polyline points="{pts}" fill="none" stroke="{s.color}" '
+                    f'<polyline points="{" ".join(pts)}" fill="none" stroke="{s.color}" '
                     'stroke-width="1.8" opacity="1"/>'
                 )
 

@@ -93,6 +93,12 @@ class TaskSpec:
                 raise ConfigError(
                     f"toy_signal length must be in [16, {MAX_SIGNAL_LENGTH}], got {self.n}"
                 )
+            # A reverb kernel has max(n, EARLY_WINDOW_S * fs) taps; bound it like a signal.
+            taps = round(EARLY_WINDOW_S * self.fs)
+            if self.degradation == "reverb" and taps > MAX_SIGNAL_LENGTH:
+                raise ConfigError(
+                    f"fs={self.fs:g} gives a reverb kernel of {taps} taps, past {MAX_SIGNAL_LENGTH}"
+                )
         elif self.degradation is not None:
             raise ConfigError(f"{self.family} does not take a degradation")
         if self.clean_mix_prob > 0 and self.family != "toy_signal":

@@ -676,6 +676,32 @@ def test_train_refuses_an_impossible_signal_length(tmp_path, capsys, n):
     assert not (tmp_path / "r").exists()
 
 
+def test_train_refuses_a_reverb_kernel_past_the_signal_bound(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "task": {"family": "toy_signal", "n": 16, "degradation": "reverb", "fs": 1e20},
+        "model": {"backbone": "conv", "hidden": 4, "depth": 1, "kernel_size": 3},
+        "train": {"iterations": 2, "batch_size": 2},
+    }))
+    out = tmp_path / "r"
+    rc = main(["train", "--config", str(cfg_path), "--out", str(out)])
+    _assert_one_error_line(rc, capsys, "reverb kernel")
+    assert not out.exists()
+
+
+def test_eval_refuses_a_reverb_kernel_past_the_signal_bound(tmp_path, capsys):
+    cfg = ModelConfig(signal_length=16, cond_dim=2, backbone="conv", hidden=4, depth=1,
+                      kernel_size=3)
+    ckpt = tmp_path / "m" / "model.fbc"
+    ckpt.parent.mkdir()
+    task = {"family": "toy_signal", "n": 16, "degradation": "reverb", "fs": 1e20}
+    save_checkpoint(ckpt, VectorFieldModel(cfg, np.random.default_rng(0)), extra={"task": task})
+    rc = main(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "ev"),
+               "--gammas", "1", "--samples", "8"])
+    _assert_one_error_line(rc, capsys, f"{ckpt}: invalid task metadata")
+    assert not (tmp_path / "ev").exists()
+
+
 @pytest.mark.parametrize("gammas", ["a", "0,", "1,nan"])
 def test_eval_rejects_non_numeric_gammas(planar_run, tmp_path, capsys, gammas):
     rc = main([
@@ -757,6 +783,42 @@ def test_rejects_bad_count_or_seed(planar_run, tmp_path, capsys, argv, needle):
     rc = main([*argv, "--checkpoint", str(planar_run / "model.fbc"), "--out", str(out)])
     _assert_one_error_line(rc, capsys, needle)
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,needle",
+    [
+        (["eval", "--checkpoint", "c.fbc", "--out", "{out}", "--steps", "abc"],
+         "argument --steps: invalid int value: 'abc'"),
+        (["eval", "--checkpoint", "c.fbc", "--out", "{out}", "--samples", "1.5"],
+         "argument --samples: invalid int value: '1.5'"),
+        (["eval", "--checkpoint", "c.fbc", "--out", "{out}", "--seed", "x"],
+         "argument --seed: invalid int value: 'x'"),
+        (["bridge", "--checkpoint", "c.fbc", "--input", "i.fbs", "--out", "{out}",
+          "--schedule", "foo"], "argument --schedule: invalid choice: 'foo'"),
+        (["bridge", "--checkpoint", "c.fbc", "--input", "i.fbs", "--out", "{out}",
+          "--method", "rk4"], "argument --method: invalid choice: 'rk4'"),
+        (["train", "--config", "c.json"], "the following arguments are required: --out"),
+        (["eval", "--checkpoint", "c.fbc", "--out", "{out}", "--bogus"],
+         "unrecognized arguments: --bogus"),
+        ([], "the following arguments are required: command"),
+    ],
+    ids=["steps_abc", "samples_float", "seed_x", "schedule_foo", "method_rk4", "missing_out",
+         "unknown_flag", "no_subcommand"],
+)
+def test_usage_error_is_one_error_line(tmp_path, capsys, argv, needle):
+    out = tmp_path / "o"
+    rc = main([str(out) if a == "{out}" else a for a in argv])
+    _assert_one_error_line(rc, capsys, needle)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["eval", "--help"]])
+def test_help_prints_usage_and_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: flowbridge")
 
 
 def test_plot_command(planar_run, tmp_path):

@@ -1,5 +1,6 @@
 """Tests for config handling, binary frames, signal/CSV files, and SVG rendering."""
 
+import hashlib
 import json
 import re
 import struct
@@ -368,3 +369,56 @@ class TestSvgFigure:
                 labels = [t.text for t in root.findall(".//s:text", ns)
                           if t.get("font-size") == "11" and t.get("text-anchor") == anchor]
                 assert labels and len(set(labels)) == len(labels), labels
+
+
+def _eval_shaped_figure():
+    # eval's curvature figure: per run a p25-p75 band, then its labelled mean line.
+    fig = SvgFigure(title="curvature < 1 & more", xlabel="flow <time> & tau", ylabel="a & b < c")
+    taus = np.linspace(0.0, 1.0, 11)
+    for k, gamma in enumerate((0.0, 1.5)):
+        mean = 0.1 + (k + 1) * taus * (1.0 - taus)
+        fig.band(taus, mean - 0.02, mean + 0.03 * taus)
+        fig.line(taus, mean, label=f"run gamma={gamma:g}")
+    return fig
+
+
+def _grouped_plot_figure():
+    fig = SvgFigure(title="loss", xlabel="iteration", ylabel="loss")
+    its = np.arange(0, 200, 10)
+    for group, scale in (("indep", 1.0), ("ot", 0.5), ("sinkhorn", 0.75)):
+        fig.line(its, scale * 4.0 / (1.0 + its), label=group)
+    return fig
+
+
+def _constant_figure():
+    fig = SvgFigure(title="flat")
+    fig.line([0, 1, 2], [1.0, 1.0, 1.0], label="c")
+    return fig
+
+
+def _narrow_far_from_zero_figure():
+    fig = SvgFigure(xlabel="x")
+    fig.line([0, 1], [1e15 + 1, 1e15 + 2])
+    return fig
+
+
+def _empty_label_figure():
+    fig = SvgFigure(ylabel="y")
+    fig.line([0, 1, 3], [2.0, -1.0, 0.5], label="")
+    fig.line([0, 1, 3], [1.0, 0.0, -0.5], label="shown")
+    return fig
+
+
+# SHA-256 of each figure's SVG text, pinning render's exact bytes.
+_GOLDEN_SVG = {
+    _eval_shaped_figure: "706025c2293a7aed3f7d12ba53b93abb979cf86a225a723e1f7244a24599d564",
+    _grouped_plot_figure: "9e7e4963e0f6ba3f31fc931e39a4c70b3012191096f5976562f2690d9bdcb8aa",
+    _constant_figure: "4212b6813abbba2a1199b72f2c8b475b33067a021c4699f00e82a9b147e00f07",
+    _narrow_far_from_zero_figure: "5b76292d463bad474470faee7f2b4153bd4c02cc13e20162ead225f428f5dc41",
+    _empty_label_figure: "9743786c681cdaa81971dbfbff1b9d5af75a7b687b480a763983d796f3c0f5bd",
+}
+
+
+@pytest.mark.parametrize("build", list(_GOLDEN_SVG), ids=lambda f: f.__name__.strip("_"))
+def test_render_bytes_pinned(build):
+    assert hashlib.sha256(build().render().encode()).hexdigest() == _GOLDEN_SVG[build]

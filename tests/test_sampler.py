@@ -1,6 +1,7 @@
 """Tests for schedules, ODE integration, and the encode/decode bridge."""
 
 import hashlib
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -50,10 +51,9 @@ class TestSchedules:
             assert s.taus[0] == 0.0 and s.taus[-1] == 1.0
             return
         # The CLI takes its --schedule choices from the table.
-        with pytest.raises(SystemExit) as exc:
-            main(["eval", "--checkpoint", str(tmp_path / "m.fbc"), "--out", str(tmp_path),
-                  "--schedule", name, "--steps", str(steps)])
-        assert exc.value.code == 2
+        rc = main(["eval", "--checkpoint", str(tmp_path / "m.fbc"), "--out", str(tmp_path),
+                   "--schedule", name, "--steps", str(steps)])
+        assert rc == 1
         assert "invalid choice" in capsys.readouterr().err
 
     def test_uniform_spacing(self):
@@ -246,6 +246,18 @@ class TestIntegrate:
         cond = np.zeros((1, 1), dtype=np.float32)
         with pytest.raises(DivergenceError) as exc:
             integrate(stub, np.zeros((1, 2)), schedule_uniform(4), condition=cond, gamma=2.0)
+        assert exc.value.step == 0
+
+    def test_overflowing_network_is_a_divergence_without_a_warning(self):
+        # Every parameter shifted by 1e20 overflows float32 in the first matmul.
+        model = VectorFieldModel(ModelConfig(signal_length=2, hidden=8, depth=1),
+                                 np.random.default_rng(0))
+        for p in model.parameters():
+            p.data += 1e20
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DivergenceError) as exc:
+                integrate(model, np.ones((4, 2)), schedule_uniform(4), direction="backward")
         assert exc.value.step == 0
 
     def test_rejects_condition_that_overflows_the_model_dtype(self):

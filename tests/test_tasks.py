@@ -9,6 +9,8 @@ from flowbridge.analysis import SDR_CAP_DB, estimate_decay, sdr
 from flowbridge.exceptions import ConfigError, ValidationError
 from flowbridge.tasks import (
     CLEAN_T60,
+    EARLY_WINDOW_S,
+    MAX_SIGNAL_LENGTH,
     TaskSpec,
     apply_reverb,
     clip_to_sdr,
@@ -61,6 +63,15 @@ class TestTaskSpec:
     def test_unknown_family(self):
         with pytest.raises(ConfigError):
             TaskSpec("spiral")
+
+    def test_reverb_kernel_bounded_like_a_signal(self):
+        # The kernel spans at least the early window: EARLY_WINDOW_S * fs taps.
+        top = MAX_SIGNAL_LENGTH / EARLY_WINDOW_S
+        TaskSpec("toy_signal", n=16, fs=top, degradation="reverb")
+        for fs in (top * 1.001, 1e20):
+            with pytest.raises(ConfigError, match="reverb kernel"):
+                TaskSpec("toy_signal", n=16, fs=fs, degradation="reverb")
+            TaskSpec("toy_signal", n=16, fs=fs, degradation="clip")
 
     def test_descriptors(self):
         assert TaskSpec("cond_ring").descriptors == ("radius",)
