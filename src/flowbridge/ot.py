@@ -117,9 +117,10 @@ def solve_exact(c: CostMatrix) -> Assignment:
 
     With uniform marginals EMD is an assignment problem. It is solved on C
     reduced by approximate dual potentials: C - g[None, :] minus each row's
-    minimum, with g from a short annealed Sinkhorn. Each assignment uses
-    every row and column once, so all costs shift alike and the optimum
-    stays; near-optimal duals only shorten the augmenting-path searches.
+    minimum, then minus each column's minimum, with g from a short annealed
+    Sinkhorn. Each assignment uses every row and column once, so all costs
+    shift alike and the optimum stays; near-optimal duals, and a zero in
+    every row and column, only shorten the augmenting-path searches.
     Ties go to the lowest column index of the dual-reduced matrix;
     deterministic: same input, same permutation.
     """
@@ -162,15 +163,17 @@ def _linear_sum_assignment():
     return module.linear_sum_assignment
 
 
-# The warm start of solve_exact: epsilon falls from max(C) by this factor per
-# stage, down to this fraction of mean(C), with this many sweeps per stage.
-_WARM_SHRINK = 8.0
-_WARM_FLOOR = 1e-2
-_WARM_SWEEPS = 3
+# The warm start of solve_exact: the epsilon of each stage, as a fraction of
+# mean(C), and the sweeps per stage. Entering below mean(C) skips the stages
+# near max(C), where the kernel is almost flat.
+_WARM_EPS = (0.25, 0.03, 0.01)
+_WARM_SWEEPS = 5
 
 
 def _dual_reduced(cv: np.ndarray) -> np.ndarray:
-    """C - g[None, :] minus each row's minimum, in one new float64 buffer.
+    """C - g[None, :] minus each row's minimum, then minus each column's
+    minimum, in one new float64 buffer: no entry is negative, and every row
+    and every column holds a zero.
 
     g are the column potentials of a short annealed Sinkhorn. A cost with
     zero scale, or a non-finite g, leaves g at zero, so the reduction is
@@ -179,22 +182,20 @@ def _dual_reduced(cv: np.ndarray) -> np.ndarray:
     m = cv.shape[0]
     k = np.empty(cv.shape)
     g = np.zeros(m)
-    # Costs near the float64 limit can overflow the mean (one stage then
-    # runs) or the potentials (the check below then zeroes g).
+    # Costs near the float64 limit can overflow the mean or the potentials
+    # (the check below then zeroes g).
     with np.errstate(all="ignore"):
-        floor = _WARM_FLOOR * float(cv.mean())
-        if floor > 0:
+        mean = float(cv.mean())
+        if mean > 0:
             f = np.zeros(m)
-            eps = float(cv.max())
-            while True:
+            for frac in _WARM_EPS:
+                eps = frac * mean
                 f, g = _scale(_kernel(cv, f, g, eps, out=k), f, g, eps, _WARM_SWEEPS)
-                if eps <= floor:
-                    break
-                eps = max(eps / _WARM_SHRINK, floor)
     if not np.all(np.isfinite(g)):
         g = np.zeros(m)
     np.subtract(cv, g[None, :], out=k)
     k -= k.min(axis=1)[:, None]
+    k -= k.min(axis=0)[None, :]
     return k
 
 
@@ -247,6 +248,13 @@ def solve_sinkhorn(
     g = np.zeros(m)
 
     cmax = float(cv.max())
+    # Below half an ulp of max(C), epsilon vanishes beside it: the exponents
+    # (f + g - C) / epsilon then carry rounding errors of order 1 or more,
+    # and the stage count log2(max(C) / epsilon) can overflow.
+    if cmax + epsilon == cmax:
+        raise ValidationError(
+            f"epsilon {epsilon:g} is below float64 resolution at max cost {cmax:g}"
+        )
     if cmax > epsilon:
         # Geometric annealing from max(C) down to the target epsilon.
         n_stages = int(np.ceil(np.log2(cmax / epsilon)))

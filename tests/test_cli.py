@@ -249,6 +249,21 @@ def test_train_rejects_chunk_size_not_dividing_n(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("epsilon", [5e-324, 1e-300])
+def test_train_refuses_a_sinkhorn_epsilon_below_the_cost_resolution(tmp_path, capsys, epsilon):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "task": {"family": "eight_gaussians"},
+        "model": {"hidden": 8, "depth": 1},
+        "train": {"iterations": 2, "batch_size": 8, "coupling": "chunked_ot", "chunk_size": 2,
+                  "ot_method": "sinkhorn", "sinkhorn_epsilon": epsilon},
+    }))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "r")])
+    _assert_one_error_line(rc, capsys, f"epsilon {epsilon:g} is below float64 resolution")
+
+
 def test_train_missing_config_file(tmp_path, capsys):
     rc = main(["train", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "r")])
     _assert_one_error_line(rc, capsys, "cannot read config")

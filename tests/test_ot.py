@@ -1,6 +1,7 @@
 """Tests for the minibatch OT solvers."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
+from flowbridge import ot
 from flowbridge.exceptions import ShapeError, ValidationError
 from flowbridge.ot import (
+    _dual_reduced,
     _round_to_uniform,
     Assignment,
     CostMatrix,
@@ -20,7 +23,7 @@ from flowbridge.ot import (
     solve_sinkhorn,
     transport_cost,
 )
-from flowbridge.tasks import gen_eight_gaussians
+from flowbridge.tasks import TaskSpec, gen_eight_gaussians, make_training_stream
 
 
 def _brute_force_cost(c: np.ndarray) -> float:
@@ -290,6 +293,24 @@ class TestSolveSinkhorn:
         with pytest.raises(ValidationError):
             solve_sinkhorn(c, epsilon=float("inf"))
 
+    @pytest.mark.parametrize("epsilon", [5e-324, 1e-300])
+    def test_rejects_epsilon_below_the_cost_resolution(self, epsilon):
+        # Positive and finite, but lost beside max(C) in float64: refused
+        # before any scaling, so no overflow and no warning.
+        c = cost_matrix(*_random_points(np.random.default_rng(18), 8, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValidationError, match=f"epsilon {epsilon:g} is below float64"):
+                solve_sinkhorn(c, epsilon=epsilon)
+
+    def test_accepts_epsilon_one_ulp_of_the_max_cost(self):
+        c = cost_matrix(*_random_points(np.random.default_rng(18), 8, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            plan = solve_sinkhorn(c, epsilon=float(np.spacing(c.values.max())), max_iter=10)
+        assert np.all(np.isfinite(plan.pi))
+        assert np.abs(plan.pi.sum(axis=1) - 1.0 / c.m).max() < 1e-12
+
 
 _PARITY_CASES = {
     # The benchmark shape: 256 chunks of 16 samples at epsilon 1.
@@ -362,6 +383,23 @@ _clustered_sets = st.integers(0, 2**32 - 1).map(np.random.default_rng).map(
 )
 
 
+def _signal_stream(degradation, rng):
+    """Batches of 16 signals of 256 samples, as the signal training draws them."""
+    spec = TaskSpec(family="toy_signal", n=256, degradation=degradation)
+    return make_training_stream(spec, 16, rng)
+
+
+def _chunk_points(values, rng, n_c):
+    """Data and noise chunks of one batch, as `couple_chunked_ot` pools them."""
+    noise = rng.standard_normal(values.shape, dtype=np.float32)
+    return values.reshape(-1, n_c), noise.reshape(-1, n_c)
+
+
+# The chunk pool of the reverb training at n_c=16: 256 chunks of 16 samples.
+_reverb_sets = st.integers(0, 2**32 - 1).map(np.random.default_rng).map(
+    lambda rng: _chunk_points(next(_signal_stream("reverb", rng)).values, rng, 16)
+)
+
 
 def _ring_pair(seed, m, noise):
     """Two noisy draws of the radius-1.5 ring: what `empirical_w2` solves in a ring bridge."""
@@ -381,10 +419,71 @@ _ring_pairs = st.builds(
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(points=st.one_of(_point_sets, _clustered_sets, _ring_pairs))
+@given(points=st.one_of(_point_sets, _clustered_sets, _ring_pairs, _reverb_sets))
 def test_exact_matches_the_unreduced_solve(points):
     c = cost_matrix(*points)
     assert np.array_equal(solve_exact(c).sigma, _reference_assignment(c))
+
+
+_REDUCED_POOLS = {
+    "planar": lambda: cost_matrix(*_random_points(np.random.default_rng(19), 12, 2)),
+    "eight_gaussians": lambda: cost_matrix(
+        gen_eight_gaussians(256, np.random.default_rng(20)),
+        np.random.default_rng(21).standard_normal((256, 2)),
+    ),
+    "ring": lambda: cost_matrix(*_ring_pair(22, 512, 0.02)),
+    "zero": lambda: CostMatrix(np.zeros((5, 5))),
+    "constant": lambda: CostMatrix(np.full((5, 5), 2.5)),
+    "m1": lambda: CostMatrix(np.full((1, 1), 3.0)),
+    "integer_ties": lambda: CostMatrix(np.random.default_rng(10).integers(0, 4, (17, 17))),
+}
+
+
+@pytest.mark.parametrize("pool", list(_REDUCED_POOLS))
+def test_dual_reduced_has_a_zero_in_every_row_and_column(pool):
+    k = _dual_reduced(_REDUCED_POOLS[pool]().values)
+    assert np.all(k >= 0)
+    assert np.all(k.min(axis=1) == 0)
+    assert np.all(k.min(axis=0) == 0)
+
+
+def test_warm_start_runs_three_stages_below_the_mean_cost(monkeypatch):
+    # Each stage builds one kernel. A schedule entering at max(C), about
+    # 5 x mean(C) on this pool, takes more stages.
+    stage_eps = []
+    kernel = ot._kernel
+
+    def counted(cv, f, g, eps, out=None):
+        stage_eps.append(eps)
+        return kernel(cv, f, g, eps, out=out)
+
+    monkeypatch.setattr(ot, "_kernel", counted)
+    c = _REDUCED_POOLS["eight_gaussians"]()
+    solve_exact(c)
+    assert len(stage_eps) == 3
+    assert max(stage_eps) < float(c.values.mean())
+
+
+def test_exact_on_clip_pools_with_repeated_chunks():
+    # Clipping flattens runs of samples to the same level, so a clip batch
+    # chunked at n_c=4 repeats chunks exactly, and its pool has many optima
+    # of equal cost. Any one may be returned, always the same one.
+    stream = _signal_stream("clip", np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    repeats = []
+    for _ in range(20):
+        data, noise = _chunk_points(next(stream).values, rng, 4)
+        repeats.append(len(data) - len(np.unique(data, axis=0)))
+        c = cost_matrix(data, noise)
+        sigma = solve_exact(c).sigma
+        rows = np.arange(c.m)
+        # Equal optima differ by swapping repeated chunks, so they match the
+        # same multiset of costs.
+        assert np.array_equal(
+            np.sort(c.values[rows, sigma]), np.sort(c.values[rows, _reference_assignment(c)])
+        )
+        assert np.array_equal(solve_exact(c).sigma, sigma)
+    assert max(repeats) > 0
 
 
 class TestTransportPlan:
