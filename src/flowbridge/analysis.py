@@ -14,14 +14,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ot
+from .coupling import SignalBatch
 from .exceptions import ShapeError, ValidationError
-from .sampler import Trajectory
+from .nn.model import VectorFieldModel
+from .sampler import TimeSchedule, Trajectory, check_decode_inputs, integrate
 
 __all__ = [
     "curvature",
     "CurvatureProfile",
     "curvature_profile",
     "empirical_w2",
+    "score_decodes",
     "sdr",
     "estimate_decay",
     "SDR_CAP_DB",
@@ -87,6 +90,25 @@ def empirical_w2(a: np.ndarray, b: np.ndarray) -> float:
     c = ot.cost_matrix(a, b)
     cost = ot.transport_cost(c, ot.solve_exact(c))
     return float(np.sqrt(cost / c.m))
+
+
+def score_decodes(
+    model: VectorFieldModel, z: np.ndarray, reference: SignalBatch, gammas: list[float],
+    schedule: TimeSchedule, method: str = "euler",
+) -> list[tuple[float, float, CurvatureProfile]]:
+    """(gamma, w2, profile) per gamma, in order, of z decoded backward under the reference's
+    condition and scored against its values. Every gamma is checked before the first decode;
+    without a condition `integrate` ignores gamma, so one decode serves every gamma."""
+    for gamma in gammas:
+        check_decode_inputs(model, z, reference.condition, gamma)
+    scores = []
+    for gamma in gammas:
+        if not scores or reference.condition is not None:
+            traj = integrate(model, z, schedule, direction="backward", method=method,
+                             condition=reference.condition, gamma=gamma)
+            w2, prof = empirical_w2(traj.final, reference.values), curvature_profile([traj])
+        scores.append((gamma, w2, prof))
+    return scores
 
 
 def sdr(reference: np.ndarray, estimate: np.ndarray) -> float:

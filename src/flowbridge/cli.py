@@ -9,12 +9,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import curvature_profile, empirical_w2
+from .analysis import score_decodes
 from .config import apply_overrides, build_config, check_int_fields, dump_config, load_config
 from .exceptions import CheckpointError, ConfigError, FlowbridgeError
 from .nn.checkpoint import load_checkpoint, save_checkpoint
 from .nn.model import ModelConfig
-from .sampler import SCHEDULES, check_decode_inputs, gfb_transfer, integrate
+from .sampler import SCHEDULES, gfb_transfer
 from .signalio import load_signals, read_csv, save_signals, write_csv
 from .svgplot import SvgFigure
 from .tasks import TaskSpec, make_training_stream
@@ -66,16 +66,10 @@ def _parse_floats(flag: str, text: str) -> list[float]:
     return values
 
 
-def _parse_float(flag: str, text: str) -> float:
-    """One finite number from a flag value, else ConfigError."""
-    values = _parse_floats(flag, text)
-    if len(values) != 1:
-        raise ConfigError(f"{flag} expects one number, got {text!r}")
-    return values[0]
-
-
 def _cmd_bridge(args) -> int:
-    gamma = 1.0 if args.gamma is None else _parse_float("--gamma", args.gamma)
+    gamma, *rest = [1.0] if args.gamma is None else _parse_floats("--gamma", args.gamma)
+    if rest:
+        raise ConfigError(f"--gamma expects one number, got {args.gamma!r}")
     if args.gamma is not None and args.condition is None:
         raise ConfigError("--gamma needs --condition: without one only the null branch decodes")
     model, _ = load_checkpoint(args.checkpoint)
@@ -106,10 +100,15 @@ def _cmd_bridge(args) -> int:
 def _cmd_eval(args) -> int:
     """Decode seeded noise per checkpoint and gamma; score it by W2 and curvature."""
     gammas = _parse_floats("--gammas", args.gammas)
+    labels = [Path(p).parent.name for p in args.checkpoint]
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            first, path = args.checkpoint[labels.index(label)], args.checkpoint[i]
+            raise ConfigError(f"checkpoints {first} and {path} share the label {label!r}")
     schedule = SCHEDULES[args.schedule](args.steps)
     rows, curv_rows = [], []
     fig = SvgFigure(title="trajectory curvature", xlabel="flow time", ylabel="curvature")
-    for ckpt_path in args.checkpoint:
+    for label, ckpt_path in zip(labels, args.checkpoint):
         model, extra = load_checkpoint(ckpt_path)
         task_raw, train_raw = extra.get("task"), extra.get("train", {})
         if not isinstance(train_raw, dict):
@@ -121,26 +120,12 @@ def _cmd_eval(args) -> int:
             raise CheckpointError(f"{ckpt_path}: invalid task metadata ({exc})") from exc
         chunk = train_raw.get("chunk_size")
         coupling = train_raw.get("coupling", "")
-        label = Path(ckpt_path).parent.name
         # The noise comes first, then the reference batch whose conditions decode
         # it; the stream checks the batch size before either is drawn.
         rng = np.random.default_rng(args.seed)
         stream = make_training_stream(task, args.samples, rng)
         z = rng.standard_normal((args.samples, model.config.signal_length))
-        batch = next(stream)
-        # Every gamma before the first decode: without a condition only one decodes.
-        for gamma in gammas:
-            check_decode_inputs(model, z, batch.condition, gamma)
-        traj = None
-        for gamma in gammas:
-            # integrate ignores gamma without a condition, so one decode serves every gamma.
-            if traj is None or batch.condition is not None:
-                traj = integrate(
-                    model, z, schedule, direction="backward", method=args.method,
-                    condition=batch.condition, gamma=gamma,
-                )
-                w2 = empirical_w2(traj.final, batch.values)
-                prof = curvature_profile([traj])
+        for gamma, w2, prof in score_decodes(model, z, next(stream), gammas, schedule, args.method):
             rows.append((label, coupling, "" if chunk is None else chunk, gamma, "w2", w2))
             for tau, mean, p25, p75 in zip(prof.taus, prof.mean, prof.p25, prof.p75):
                 curv_rows.append((label, gamma, tau, mean, p25, p75))
@@ -149,11 +134,8 @@ def _cmd_eval(args) -> int:
             print(f"{label} gamma={gamma:g}: w2={w2:.6g} curvature={prof.time_average:.6g}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_csv(
-        out / "eval.csv",
-        ["model", "coupling", "chunk_size", "gamma", "metric", "value"],
-        rows,
-    )
+    header = ["model", "coupling", "chunk_size", "gamma", "metric", "value"]
+    write_csv(out / "eval.csv", header, rows)
     write_csv(out / "curvature.csv", ["model", "gamma", "tau", "mean", "p25", "p75"], curv_rows)
     fig.save(out / "curvature.svg")
     return 0

@@ -3,15 +3,19 @@
 import numpy as np
 import pytest
 
+from flowbridge import analysis
 from flowbridge.analysis import (
     curvature,
     curvature_profile,
     empirical_w2,
     estimate_decay,
+    score_decodes,
     sdr,
 )
+from flowbridge.coupling import SignalBatch
 from flowbridge.exceptions import ShapeError, ValidationError
-from flowbridge.sampler import Trajectory, schedule_uniform
+from flowbridge.nn import ModelConfig, VectorFieldModel
+from flowbridge.sampler import Trajectory, integrate, schedule_uniform
 
 
 def _straight_trajectory(rng, t=6, b=3, n=4, direction="forward"):
@@ -134,6 +138,56 @@ class TestEmpiricalW2:
     def test_rejects_empty_sets(self):
         with pytest.raises(ShapeError):
             empirical_w2(np.zeros((0, 2)), np.zeros((0, 2)))
+
+
+class TestScoreDecodes:
+    @staticmethod
+    def _case(cond_dim, monkeypatch):
+        """A small seeded model, noise and reference batch, and the gammas each
+        `integrate` call is made with."""
+        rng = np.random.default_rng(4)
+        model = VectorFieldModel(ModelConfig(signal_length=2, hidden=8, depth=1,
+                                             cond_dim=cond_dim), rng)
+        z = rng.standard_normal((16, 2))
+        condition = rng.uniform(0.5, 1.5, (16, 1)).astype(np.float32) if cond_dim else None
+        reference = SignalBatch(rng.standard_normal((16, 2)).astype(np.float32), condition)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["gamma"])
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "integrate", counted)
+        return model, z, reference, calls
+
+    def test_unconditional_model_decodes_once_for_every_gamma(self, monkeypatch):
+        model, z, reference, calls = self._case(0, monkeypatch)
+        scores = score_decodes(model, z, reference, [1.5, 0.0, 1.0], schedule_uniform(4))
+        assert calls == [1.5]
+        assert [g for g, _, _ in scores] == [1.5, 0.0, 1.0]
+        traj = integrate(model, z, schedule_uniform(4), direction="backward")
+        for _, w2, prof in scores:
+            assert w2 == empirical_w2(traj.final, reference.values)
+            assert np.array_equal(prof.mean, curvature_profile([traj]).mean)
+
+    def test_conditional_model_decodes_once_per_gamma(self, monkeypatch):
+        model, z, reference, calls = self._case(1, monkeypatch)
+        scores = score_decodes(model, z, reference, [0.0, 1.0, 2.0], schedule_uniform(4),
+                               method="midpoint")
+        assert calls == [0.0, 1.0, 2.0]
+        for gamma, w2, prof in scores:
+            traj = integrate(model, z, schedule_uniform(4), direction="backward",
+                             method="midpoint", condition=reference.condition, gamma=gamma)
+            assert w2 == empirical_w2(traj.final, reference.values)
+            assert np.array_equal(prof.mean, curvature_profile([traj]).mean)
+
+    @pytest.mark.parametrize("cond_dim", [0, 1], ids=["unconditional", "conditional"])
+    def test_no_decode_when_a_gamma_overflows_the_model_dtype(self, monkeypatch, cond_dim):
+        # 1e39 is finite in float64 but not in the model's float32.
+        model, z, reference, calls = self._case(cond_dim, monkeypatch)
+        with pytest.raises(ValidationError, match="gamma must be finite in float32"):
+            score_decodes(model, z, reference, [1.0, 1e39], schedule_uniform(4))
+        assert calls == []
 
 
 class TestSdr:

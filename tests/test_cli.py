@@ -1,5 +1,6 @@
 """End-to-end CLI tests (in-process, tiny workloads)."""
 
+import hashlib
 import json
 import struct
 import warnings
@@ -540,6 +541,64 @@ def test_eval_command(planar_run, tmp_path, capsys):
     assert "w2=" in capsys.readouterr().out
 
 
+_EVAL_GOLDEN = {
+    "moons/model.fbc": "aab3a3bd54bd0498c0d0800de7bb8a97a6d3cfcb6da80dcbe585798eeb2d1c65",
+    "ring/model.fbc": "c45486e05f111486a39fc494c0bcba315bb8bccb7be4b94fcb257e8fd2144698",
+    "ev/eval.csv": "6d4dd21f6c25db8876564f16d8837417f1ebdcd8a7e0e0de3d513974d684fc53",
+    "ev/curvature.csv": "8c7ccb0a5c9d96084fbc59481239cf86b79dd25b3d878d736a2d59db52ddab7f",
+    "ev/curvature.svg": "f9fde279d260e3cc2acb2c7beee8f59f74f2a58b4c90109404e128e2e8463d37",
+    "stdout": "942ca8a7cd7fcaebe2550d3725be8b72f6a8748a61af5a049fad5acfe09fff43",
+}
+
+
+def test_eval_golden_digests(tmp_path, capsys):
+    """eval writes bit for bit the files and summary it has always written for
+    one unconditional and one conditional checkpoint: the one decode shared by
+    every gamma and one decode per gamma."""
+    cfg = {
+        "task": {"family": "two_moons"},
+        "model": {"hidden": 16, "depth": 2},
+        "train": {"iterations": 30, "batch_size": 8, "lr": 1e-3, "log_every": 10, "seed": 3},
+    }
+    for name, family in (("moons", "two_moons"), ("ring", "cond_ring")):
+        cfg["task"]["family"] = family
+        cfg_path = tmp_path / f"{name}.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / name)]) == 0
+    capsys.readouterr()
+    rc = main([
+        "eval", "--checkpoint", str(tmp_path / "moons" / "model.fbc"),
+        "--checkpoint", str(tmp_path / "ring" / "model.fbc"), "--out", str(tmp_path / "ev"),
+        "--gammas", "0,1,1.5", "--samples", "64", "--steps", "8", "--seed", "2",
+    ])
+    assert rc == 0
+    stdout = capsys.readouterr().out.encode()
+    digests = {
+        key: hashlib.sha256(stdout if key == "stdout" else (tmp_path / key).read_bytes()).hexdigest()
+        for key in _EVAL_GOLDEN
+    }
+    assert digests == _EVAL_GOLDEN
+
+
+@pytest.mark.parametrize("second", ["same_path", "same_parent_name"])
+def test_eval_refuses_checkpoints_sharing_a_label(planar_run, tmp_path, capsys, monkeypatch,
+                                                  second):
+    # Both would write rows labelled "run": refused before either checkpoint loads.
+    first = planar_run / "model.fbc"
+    copy = tmp_path / "other" / "run" / "model.fbc"
+    copy.parent.mkdir(parents=True)
+    copy.write_bytes(first.read_bytes())
+    path = {"same_path": first, "same_parent_name": copy}[second]
+    loaded = []
+    monkeypatch.setattr("flowbridge.cli.load_checkpoint",
+                        lambda p: loaded.append(p) or load_checkpoint(p))
+    out = tmp_path / "ev"
+    rc = main(["eval", "--checkpoint", str(first), "--checkpoint", str(path), "--out", str(out),
+               "--gammas", "1", "--samples", "8", "--steps", "2"])
+    _assert_one_error_line(rc, capsys, f"checkpoints {first} and {path} share the label 'run'")
+    assert loaded == [] and not out.exists()
+
+
 def test_eval_reference_uses_trained_seed_noise(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
@@ -744,7 +803,7 @@ def test_eval_decodes_once_per_gamma_only_under_a_condition(planar_run, tmp_path
         calls.append(kwargs["gamma"])
         return integrate(*args, **kwargs)
 
-    monkeypatch.setattr("flowbridge.cli.integrate", counted)
+    monkeypatch.setattr("flowbridge.analysis.integrate", counted)
     # The gammas integrate was called with, per checkpoint.
     runs = ((planar_run / "model.fbc", [0.0]), (ring / "model.fbc", [0.0, 0.5, 1.5]))
     for ckpt, expected in runs:
