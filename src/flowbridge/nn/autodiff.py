@@ -10,6 +10,9 @@ vector-field models need, one tape node per layer: ``add``, ``matmul`` and
 ``conv1d`` (both take their bias), ``silu``, ``where``, ``film`` (a whole
 FiLM modulation), ``concat`` and ``reshape``.
 
+``conv1d``'s forward, weight gradient and input gradient are each one loop
+over its K taps, a batched matmul on a shifted window of a zero-padded array.
+
 An op joins the tape only when one of its inputs is on it (a tensor with
 requires_grad=True, or an op output on the tape), and ``matmul`` and
 ``conv1d`` form an input gradient only for an input on the tape, so no
@@ -187,26 +190,41 @@ def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a * b if a.shape[1] == 1 else a @ b
 
 
+def _pad_last(a: np.ndarray, pad: int) -> np.ndarray:
+    """a with pad zeros added at both ends of its last axis, C-contiguous."""
+    out = np.zeros(a.shape[:-1] + (a.shape[-1] + 2 * pad,), dtype=a.dtype)
+    out[..., pad : pad + a.shape[-1]] = a
+    return out
+
+
 def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Same-padded 1-D convolution (cross-correlation), odd kernel only.
 
-    x: (B, C_in, L), w: (C_out, C_in, K), b: (C_out,). Output (B, C_out, L),
-    in the dtype of x and w.
+    x: (B, C_in, L), w: (C_out, C_in, K), b: (C_out,); any other shapes, or
+    an even K, raise ShapeError. Output (B, C_out, L), in the dtype of x and w.
 
     Computed as K shifted batched matmuls over the zero-padded input xpad:
     y = sum_j w[:, :, j] @ xpad[:, :, j:j+L] + b, taps added in increasing j.
     Each shifted window is a strided view that BLAS reads in place. The tape
-    keeps no copy of xpad (x holds the data) and no im2col column buffer:
-    backward pads x again, gw[:, :, j] = sum_b g @ xpad[:, :, j:j+L].T, and,
-    when x is on the tape, the input gradient accumulates w[:, :, j].T @ g
-    into a padded buffer at offset j, which is then cropped.
+    keeps no copy of xpad (x holds the data) and no im2col column buffer.
+    Backward pads x again and sums gw[:, :, j] = sum_b g @ xpad[:, :, j:j+L].T
+    straight into its slot. When x is on the tape, the input gradient is the
+    forward's tap loop over g zero-padded by p = K//2 at both ends:
+    gx = sum_j w[:, :, j].T @ gpad[:, :, 2p-j : 2p-j+L], taps added in
+    increasing j into a zeroed array.
     """
-    k = w.data.shape[2]
+    xs, ws = x.data.shape, w.data.shape
+    if len(xs) != 3 or len(ws) != 3 or xs[1] != ws[1] or b.data.shape != ws[:1]:
+        raise ShapeError(
+            f"conv1d needs x (B, C_in, L), w (C_out, C_in, K) and b (C_out,), "
+            f"got {xs}, {ws} and {b.data.shape}"
+        )
+    k = ws[2]
     if k % 2 != 1:
-        raise ValueError(f"kernel size must be odd, got {k}")
+        raise ShapeError(f"kernel size must be odd, got {k}")
     pad = k // 2
-    length = x.data.shape[2]
-    xpad = np.pad(x.data, ((0, 0), (0, 0), (pad, pad)))
+    length = xs[2]
+    xpad = _pad_last(x.data, pad)
     y = _contract(w.data[:, :, 0], xpad[:, :, :length])
     for j in range(1, k):
         y += _contract(w.data[:, :, j], xpad[:, :, j : j + length])
@@ -214,25 +232,31 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         _accumulate(b, g.sum(axis=(0, 2)))
-        xpad = np.pad(x.data, ((0, 0), (0, 0), (pad, pad)))
+        xpad = _pad_last(x.data, pad)
         gw = np.empty_like(w.data)
         for j in range(k):
-            gw[:, :, j] = (g @ xpad[:, :, j : j + length].transpose(0, 2, 1)).sum(axis=0)
+            (g @ xpad[:, :, j : j + length].transpose(0, 2, 1)).sum(axis=0, out=gw[:, :, j])
         _accumulate(w, gw)
+        del xpad  # so gpad and gx below do not raise the peak memory of the backward
         if _on_tape(x):
-            gxpad = np.zeros_like(xpad)
+            gpad = _pad_last(g, pad)
+            gx = np.zeros(xs, dtype=x.data.dtype)
             for j in range(k):
-                gxpad[:, :, j : j + length] += _contract(w.data[:, :, j].T, g)
-            _accumulate(x, gxpad[:, :, pad : pad + length])
+                gx += _contract(w.data[:, :, j].T, gpad[:, :, 2 * pad - j : 2 * pad - j + length])
+            _accumulate(x, gx)
 
     return _node(y, (x, w, b), backward)
 
 
 def film(h: Tensor, st: Tensor) -> Tensor:
     """FiLM modulation h * (s + 1) + t, where st = [s | t] is (R, 2C) and h is (B, C)
-    or (B, C, L). s and t broadcast over the length axis, and over the rows when R = 1."""
-    rows, c = st.data.shape[0], h.data.shape[1]
-    st_b = st.data.reshape(st.data.shape + (1,) * (h.data.ndim - 2))
+    or (B, C, L). s and t broadcast over the length axis, and over the rows when R = 1.
+    Any other shapes raise ShapeError."""
+    hs, ss = h.data.shape, st.data.shape
+    if len(hs) not in (2, 3) or len(ss) != 2 or ss[0] not in (1, hs[0]) or ss[1] != 2 * hs[1]:
+        raise ShapeError(f"film needs h (B, C) or (B, C, L) and st (1 or B, 2C), got {hs} and {ss}")
+    rows, c = ss[0], hs[1]
+    st_b = st.data.reshape(ss + (1,) * (len(hs) - 2))
     s, t = st_b[:, :c], st_b[:, c:]
     s1 = s + 1.0
     y = h.data * s1

@@ -82,6 +82,38 @@ def _conv_inputs(case, seed):
     return x, w, b
 
 
+def _conv1d_tap_scatter(x, w, b, g, x_on_tape):
+    """The earlier conv1d, kept as the reference for its replacement's bits.
+
+    Forward and weight gradient as before; the input gradient scatters
+    w[:, :, j].T @ g into a zeroed padded buffer at offset j and crops it.
+    Returns (y, gx or None, gw, gb).
+    """
+
+    def contract(a, v):
+        return a * v if a.shape[1] == 1 else a @ v
+
+    k = w.shape[2]
+    pad = k // 2
+    length = x.shape[2]
+    xpad = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
+    y = contract(w[:, :, 0], xpad[:, :, :length])
+    for j in range(1, k):
+        y += contract(w[:, :, j], xpad[:, :, j : j + length])
+    y += b[:, None]
+    gb = g.sum(axis=(0, 2))
+    gw = np.empty_like(w)
+    for j in range(k):
+        gw[:, :, j] = (g @ xpad[:, :, j : j + length].transpose(0, 2, 1)).sum(axis=0)
+    gx = None
+    if x_on_tape:
+        gxpad = np.zeros_like(xpad)
+        for j in range(k):
+            gxpad[:, :, j : j + length] += contract(w[:, :, j].T, g)
+        gx = gxpad[:, :, pad : pad + length]
+    return y, gx, gw, gb
+
+
 # id -> (shape of h, rows of st). One row is the shared null context.
 FILM_CASES = {
     "dense": ((4, 3), 4),
@@ -215,6 +247,80 @@ class TestAutodiffOps:
     def test_conv1d_rejects_even_kernel(self):
         with pytest.raises(ValueError):
             ad.conv1d(Tensor(np.zeros((1, 1, 8))), Tensor(np.zeros((1, 1, 4))), Tensor(np.zeros(1)))
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(
+        batch=st.integers(1, 3),
+        c_in=st.sampled_from([1, 2, 17]),
+        c_out=st.sampled_from([1, 3, 17]),
+        length=st.integers(1, 70),
+        half_k=st.integers(0, 4),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        x_on_tape=st.booleans(),
+        zero_frac=st.sampled_from([0.0, 0.5, 1.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_conv1d_bits_match_tap_scatter(
+        self, batch, c_in, c_out, length, half_k, dtype, x_on_tape, zero_frac, seed
+    ):
+        # The output and every gradient keep the bytes of the earlier
+        # tap-scatter conv1d, kernels longer than the signal included. The one
+        # exception is the input gradient at C_in = 1: each tap is then a
+        # one-row product, which BLAS forms on the strided window of the padded
+        # g in another summation order. There each entry is held to the
+        # summation error bound of both orders, 2 * C_out * K ulp-sized steps
+        # of the sum of |terms|.
+        k = 2 * half_k + 1
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((batch, c_in, length)).astype(dtype)
+        w = rng.standard_normal((c_out, c_in, k)).astype(dtype)
+        b = rng.standard_normal(c_out).astype(dtype)
+        g = rng.standard_normal((batch, c_out, length)).astype(dtype)
+        g[rng.random(g.shape) < zero_frac] = 0.0
+        leaves = (Tensor(x, requires_grad=x_on_tape), Tensor(w, requires_grad=True), Tensor(b, requires_grad=True))
+        out = ad.conv1d(*leaves)
+        out.backward(g)
+        y, gx, gw, gb = _conv1d_tap_scatter(x, w, b, g, x_on_tape)
+        assert out.data.tobytes() == y.tobytes()
+        assert leaves[1].grad.tobytes() == gw.tobytes()
+        assert leaves[2].grad.tobytes() == gb.tobytes()
+        if not x_on_tape:
+            assert leaves[0].grad is None
+        elif c_in > 1:
+            assert leaves[0].grad.tobytes() == gx.tobytes()
+        else:
+            assert leaves[0].grad.dtype == gx.dtype
+            magnitude = _conv1d_tap_scatter(x, np.abs(w), b, np.abs(g), True)[1]
+            bound = 2 * c_out * k * np.finfo(dtype).eps * magnitude
+            assert np.all(np.abs(leaves[0].grad - gx) <= bound)
+
+    @pytest.mark.parametrize(
+        "x_shape, w_shape, b_shape",
+        [
+            ((2, 3, 8), (3, 1, 3), (3,)),  # C_in of x is not C_in of w
+            ((3, 8), (3, 3, 3), (3,)),  # x is not (B, C_in, L)
+            ((2, 3, 8), (3, 3), (3,)),  # w is not (C_out, C_in, K)
+            ((2, 3, 8), (3, 3, 3), (2,)),  # b is not (C_out,)
+            ((2, 3, 8), (3, 3, 4), (3,)),  # even kernel
+        ],
+    )
+    def test_conv1d_rejects_misfit_shapes(self, x_shape, w_shape, b_shape):
+        with pytest.raises(ShapeError):
+            ad.conv1d(Tensor(np.ones(x_shape)), Tensor(np.ones(w_shape)), Tensor(np.zeros(b_shape)))
+
+    @pytest.mark.parametrize(
+        "h_shape, st_shape",
+        [
+            ((2, 3), (1, 4)),  # st one column short of 2C: t would be one column wide
+            ((2, 3), (1, 8)),  # st wider than 2C
+            ((2, 3, 5), (3, 6)),  # st rows neither 1 nor B
+            ((2, 3), (6,)),  # st is not (R, 2C)
+            ((6,), (1, 2)),  # h is neither (B, C) nor (B, C, L)
+        ],
+    )
+    def test_film_rejects_misfit_shapes(self, h_shape, st_shape):
+        with pytest.raises(ShapeError):
+            ad.film(Tensor(np.ones(h_shape)), Tensor(np.arange(float(np.prod(st_shape))).reshape(st_shape)))
 
     def test_concat_and_slice(self):
         # film slices its concatenated st back into s and t.
