@@ -3,8 +3,8 @@
 Curvature measures how far the field applied at each integration step
 deviates from the straight chord between the trajectory's endpoints; straight
 (constant-velocity) trajectories score zero everywhere. Distribution quality
-is summarized by the empirical 2-Wasserstein distance, and signal fidelity by
-SDR and reverberation-decay estimates.
+is summarized by the empirical 2-Wasserstein distance, and reverberation by
+a decay-time estimate; signal fidelity (SDR) is scored by `tasks.sdr`.
 """
 
 from __future__ import annotations
@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ot
-from .coupling import SignalBatch
 from .exceptions import ShapeError, ValidationError
 from .nn.model import VectorFieldModel
 from .sampler import TimeSchedule, Trajectory, check_decode_inputs, integrate
+from .tasks import SignalBatch
 
 __all__ = [
     "curvature",
@@ -25,12 +25,8 @@ __all__ = [
     "curvature_profile",
     "empirical_w2",
     "score_decodes",
-    "sdr",
     "estimate_decay",
-    "SDR_CAP_DB",
 ]
-
-SDR_CAP_DB = 100.0
 
 
 def curvature(traj: Trajectory) -> np.ndarray:
@@ -109,21 +105,6 @@ def score_decodes(
             w2, prof = empirical_w2(traj.final, reference.values), curvature_profile([traj])
         scores.append((gamma, w2, prof))
     return scores
-
-
-def sdr(reference: np.ndarray, estimate: np.ndarray) -> float:
-    """Signal-to-distortion ratio in dB, capped at +100 for exact matches."""
-    reference = np.asarray(reference, dtype=np.float64)
-    estimate = np.asarray(estimate, dtype=np.float64)
-    if reference.shape != estimate.shape:
-        raise ShapeError(f"shape mismatch: {reference.shape} vs {estimate.shape}")
-    p_ref = float(np.sum(reference**2))
-    if p_ref == 0.0:
-        raise ValidationError("reference signal is identically zero")
-    p_err = float(np.sum((reference - estimate) ** 2))
-    if p_err == 0.0:
-        return SDR_CAP_DB
-    return min(10.0 * np.log10(p_ref / p_err), SDR_CAP_DB)
 
 
 def estimate_decay(signal: np.ndarray, fs: float) -> float:

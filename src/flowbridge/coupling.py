@@ -1,4 +1,4 @@
-"""Pairing data batches with noise batches.
+"""Pairing data batches (`tasks.SignalBatch`) with noise batches.
 
 The independent coupling draws noise i.i.d. per sample. The chunked-OT
 coupling splits every sample in a minibatch into fixed-length chunks, solves
@@ -16,41 +16,13 @@ import numpy as np
 
 from . import ot
 from .exceptions import ShapeError, ValidationError
+from .tasks import SignalBatch
 
 __all__ = [
-    "SignalBatch",
     "Coupling",
     "couple_independent",
     "couple_chunked_ot",
 ]
-
-
-@dataclass(frozen=True)
-class SignalBatch:
-    """A batch of fixed-length signals with optional conditioning.
-
-    values: (B, N) float32. condition: (B, K) float32 or None; when given,
-    every row carries it.
-    """
-
-    values: np.ndarray
-    condition: np.ndarray | None = None
-
-    def __post_init__(self):
-        v = self.values
-        if v.ndim != 2:
-            raise ShapeError(f"batch values must be (B, N), got {v.shape}")
-        if v.dtype != np.float32:
-            raise ValidationError(f"batch values must be float32, got {v.dtype}")
-        if not np.all(np.isfinite(v)):
-            raise ValidationError("batch values have non-finite entries")
-        b = v.shape[0]
-        if self.condition is not None:
-            c = self.condition
-            if c.ndim != 2 or c.shape[0] != b:
-                raise ShapeError(f"condition must be (B, K) with B={b}, got {c.shape}")
-            if c.dtype != np.float32:
-                raise ValidationError(f"condition must be float32, got {c.dtype}")
 
 
 @dataclass(frozen=True)

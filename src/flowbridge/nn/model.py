@@ -161,9 +161,10 @@ class VectorFieldModel:
     ) -> Tensor:
         """Velocity prediction as a Tensor (call .backward on a seeded loss grad).
 
-        Rows marked in drop (B,), or every row without a condition, run the
-        learned null branch. A scalar tau builds the context on one row when
-        every row shares it; a (B,) tau, as in training, always builds it per row.
+        tau is a scalar or (B,) in [0, 1]. Rows marked in drop, a (B,) bool
+        array, or every row without a condition, run the learned null branch.
+        A scalar tau builds the context on one row when every row shares it; a
+        (B,) tau, as in training, always builds it per row.
         """
         cfg = self.config
         dt = cfg.np_dtype
@@ -171,13 +172,18 @@ class VectorFieldModel:
             raise ShapeError(f"x must be (B, signal_length={cfg.signal_length}), got {x.shape}")
         b = x.shape[0]
         tau = np.asarray(tau, dtype=dt)
+        if tau.ndim != 0 and tau.shape != (b,):
+            raise ShapeError(f"tau must be scalar or ({b},), got {tau.shape}")
         if not np.all((tau >= 0.0) & (tau <= 1.0)):
             raise ValidationError("tau must lie in [0, 1]")
         check_condition(cfg, b, condition)
         present = np.full(b, condition is not None)
         if drop is not None:
+            drop = np.asarray(drop)
             if drop.shape != (b,):
                 raise ShapeError(f"drop must be ({b},), got {drop.shape}")
+            if drop.dtype != bool:
+                raise ValidationError(f"drop must be a bool array, got {drop.dtype}")
             present &= ~drop
         # One shared context row, which film broadcasts: no row present, or
         # all present with equal condition rows (a NaN row never is equal).

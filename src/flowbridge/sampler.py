@@ -9,6 +9,7 @@ encode/decode round trip visits the same times in opposite order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -49,9 +50,16 @@ class TimeSchedule:
         return self.taus.shape[0] - 1
 
 
-def schedule_uniform(n_steps: int) -> TimeSchedule:
+def _check_steps(n_steps) -> None:
+    """Raise unless n_steps is an integer (a bool is not) in [1, 2**60); both builders call it."""
+    if isinstance(n_steps, bool) or not isinstance(n_steps, Integral):
+        raise ValidationError(f"n_steps must be an integer, got {n_steps!r}")
     if not 1 <= n_steps < MAX_ARRAY_VALUES:
         raise ValidationError(f"n_steps must be >= 1 and < 2**60, got {n_steps}")
+
+
+def schedule_uniform(n_steps: int) -> TimeSchedule:
+    _check_steps(n_steps)
     return TimeSchedule(np.arange(n_steps + 1, dtype=np.float64) / n_steps)
 
 
@@ -60,8 +68,7 @@ def schedule_raised_cosine(n_steps: int = 25) -> TimeSchedule:
 
     cos(pi) and cos(2*pi) are exact in float64, so the endpoints are exact.
     """
-    if not 1 <= n_steps < MAX_ARRAY_VALUES:
-        raise ValidationError(f"n_steps must be >= 1 and < 2**60, got {n_steps}")
+    _check_steps(n_steps)
     i = np.arange(n_steps + 1, dtype=np.float64)
     return TimeSchedule(0.5 + 0.5 * np.cos(np.pi * i / n_steps + np.pi))
 

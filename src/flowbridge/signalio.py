@@ -3,7 +3,8 @@
 A frame is an 8-byte magic, a uint32 LE version, a uint32 LE header length, a
 sorted-key UTF-8 JSON object header, then the payload. A signal batch is one
 frame whose payload is (B, N) little-endian float32 samples. Tables are plain
-CSV; floats are written with repr so they round-trip exactly.
+CSV, read with or without a UTF-8 byte-order mark; floats are written with repr
+so they round-trip exactly.
 """
 
 from __future__ import annotations
@@ -108,8 +109,10 @@ def write_csv(path: str | Path, header: list[str], rows) -> None:
 
 
 def read_csv(path: str | Path) -> tuple[list[str], list[list[str]]]:
-    """Header and string rows; width mismatches and non-UTF-8 bytes raise with the line number."""
-    raw = Path(path).read_bytes()
+    """Header and string rows; width mismatches and non-UTF-8 bytes raise with the line number.
+
+    A leading UTF-8 byte-order mark, as spreadsheets save, is dropped."""
+    raw = Path(path).read_bytes().removeprefix(b"\xef\xbb\xbf")
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -3,8 +3,10 @@
 Planar families (two_moons, checkerboard, eight_gaussians, cond_ring) are
 2-D point distributions; toy_signal is a bank of random sinusoid mixtures
 degraded by synthetic reverberation or hard clipping. Training streams yield
-batches whose conditions are the ground-truth degradation descriptors, with
-an optional fraction of clean samples carrying boundary-value descriptors.
+`SignalBatch`es whose conditions are the ground-truth degradation descriptors,
+with an optional fraction of clean samples carrying boundary-value descriptors.
+`sdr`, `compute_c50` and the clean descriptors share one cap, SDR_CAP_DB. The
+module imports only `config` and `exceptions`: making a batch loads no model.
 """
 
 from __future__ import annotations
@@ -15,12 +17,11 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .analysis import SDR_CAP_DB, sdr
 from .config import MAX_ARRAY_VALUES, check_int_fields, check_real_fields
-from .coupling import SignalBatch
-from .exceptions import ConfigError, ValidationError
+from .exceptions import ConfigError, ShapeError, ValidationError
 
 __all__ = [
+    "SignalBatch",
     "TaskSpec",
     "gen_two_moons",
     "gen_checkerboard",
@@ -30,6 +31,7 @@ __all__ = [
     "make_reverb_kernel",
     "apply_reverb",
     "compute_c50",
+    "sdr",
     "clip_to_sdr",
     "degrade",
     "make_training_stream",
@@ -37,9 +39,11 @@ __all__ = [
     "CLEAN_T60",
     "EARLY_WINDOW_S",
     "MIN_TONE_HZ",
+    "SDR_CAP_DB",
 ]
 
 PLANAR_FAMILIES = ("two_moons", "checkerboard", "eight_gaussians", "cond_ring")
+SDR_CAP_DB = 100.0
 # Descriptor values attached to undegraded samples: a near-anechoic decay
 # time and the capped early/late ratio of a bare impulse.
 CLEAN_T60 = 0.01
@@ -64,6 +68,34 @@ DEGRADATIONS = {
     "reverb": Degradation(("t60", "c50"), (0.1, 1.0), (CLEAN_T60, SDR_CAP_DB)),
     "clip": Degradation(("sdr",), (1.0, 40.0), (SDR_CAP_DB,)),
 }
+
+
+@dataclass(frozen=True)
+class SignalBatch:
+    """A batch of fixed-length signals with optional conditioning.
+
+    values: (B, N) float32. condition: (B, K) float32 or None; when given,
+    every row carries it.
+    """
+
+    values: np.ndarray
+    condition: np.ndarray | None = None
+
+    def __post_init__(self):
+        v = self.values
+        if v.ndim != 2:
+            raise ShapeError(f"batch values must be (B, N), got {v.shape}")
+        if v.dtype != np.float32:
+            raise ValidationError(f"batch values must be float32, got {v.dtype}")
+        if not np.all(np.isfinite(v)):
+            raise ValidationError("batch values have non-finite entries")
+        b = v.shape[0]
+        if self.condition is not None:
+            c = self.condition
+            if c.ndim != 2 or c.shape[0] != b:
+                raise ShapeError(f"condition must be (B, K) with B={b}, got {c.shape}")
+            if c.dtype != np.float32:
+                raise ValidationError(f"condition must be float32, got {c.dtype}")
 
 
 @dataclass(frozen=True)
@@ -206,6 +238,21 @@ def compute_c50(kernel: np.ndarray, fs: float) -> float:
     if late == 0.0:
         return SDR_CAP_DB
     return min(10.0 * np.log10(early / late), SDR_CAP_DB)
+
+
+def sdr(reference: np.ndarray, estimate: np.ndarray) -> float:
+    """Signal-to-distortion ratio in dB, capped at +100 for exact matches."""
+    reference = np.asarray(reference, dtype=np.float64)
+    estimate = np.asarray(estimate, dtype=np.float64)
+    if reference.shape != estimate.shape:
+        raise ShapeError(f"shape mismatch: {reference.shape} vs {estimate.shape}")
+    p_ref = float(np.sum(reference**2))
+    if p_ref == 0.0:
+        raise ValidationError("reference signal is identically zero")
+    p_err = float(np.sum((reference - estimate) ** 2))
+    if p_err == 0.0:
+        return SDR_CAP_DB
+    return min(10.0 * np.log10(p_ref / p_err), SDR_CAP_DB)
 
 
 def clip_to_sdr(x: np.ndarray, target_db: float) -> tuple[np.ndarray, float]:

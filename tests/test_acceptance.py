@@ -13,12 +13,13 @@ import numpy as np
 
 from flowbridge import ot
 from flowbridge.analysis import curvature_profile, estimate_decay
-from flowbridge.coupling import Coupling, SignalBatch, couple_chunked_ot, couple_independent
+from flowbridge.coupling import Coupling, couple_chunked_ot, couple_independent
 from flowbridge.flow import cfm_loss
 from flowbridge.nn.autodiff import no_grad
 from flowbridge.nn.model import ModelConfig, VectorFieldModel
 from flowbridge.sampler import gfb_transfer, integrate, schedule_raised_cosine
 from flowbridge.tasks import (
+    SignalBatch,
     clip_to_sdr,
     compute_c50,
     gen_toy_signal,

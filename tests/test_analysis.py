@@ -10,12 +10,11 @@ from flowbridge.analysis import (
     empirical_w2,
     estimate_decay,
     score_decodes,
-    sdr,
 )
-from flowbridge.coupling import SignalBatch
 from flowbridge.exceptions import ShapeError, ValidationError
 from flowbridge.nn import ModelConfig, VectorFieldModel
 from flowbridge.sampler import Trajectory, integrate, schedule_uniform
+from flowbridge.tasks import SignalBatch, sdr
 
 
 def _straight_trajectory(rng, t=6, b=3, n=4, direction="forward"):

@@ -921,6 +921,15 @@ def test_plot_grouped(tmp_path):
     assert text.count("<polyline") >= 2
 
 
+def test_plot_reads_a_csv_with_a_byte_order_mark(tmp_path):
+    # Spreadsheets save "CSV UTF-8" with a leading BOM.
+    csv_path = tmp_path / "t.csv"
+    csv_path.write_bytes(b"\xef\xbb\xbfa,b\n1,2\n")
+    out = tmp_path / "t.svg"
+    assert main(["plot", "--input", str(csv_path), "--out", str(out), "--x", "a", "--y", "b"]) == 0
+    assert out.exists()
+
+
 def test_plot_unknown_column(planar_run, tmp_path, capsys):
     rc = main([
         "plot", "--input", str(planar_run / "loss.csv"),

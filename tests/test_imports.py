@@ -1,6 +1,8 @@
 """numpy is the package's only heavy import: no scipy module loads before the
 first exact solve, and that solve loads only scipy's compiled assignment
-solver, ``scipy.optimize._lsap``, never ``scipy.optimize`` itself.
+solver, ``scipy.optimize._lsap``, never ``scipy.optimize`` itself. The data
+layer imports nothing above it: making a batch loads no model, sampler or
+analysis module.
 
 The checks run in fresh interpreters, since other test modules import
 scipy.optimize themselves.
@@ -88,6 +90,24 @@ def _run(script: str) -> str:
 
 def test_only_the_assignment_solver_loads_on_the_first_exact_solve():
     _run(_SCRIPT)
+
+
+def test_the_data_layer_imports_nothing_above_it():
+    out = _run("""
+import json
+import sys
+
+import flowbridge.tasks
+
+tasks = sorted(m for m in sys.modules if m.startswith("flowbridge."))
+import flowbridge.training
+
+training = sorted(m for m in sys.modules if m.startswith("flowbridge."))
+print(json.dumps([tasks, training]))
+""")
+    tasks, training = json.loads(out)
+    assert tasks == ["flowbridge.config", "flowbridge.exceptions", "flowbridge.tasks"]
+    assert not {"flowbridge.analysis", "flowbridge.sampler"} & set(training), training
 
 
 def test_scipy_optimize_imported_later_reuses_the_loaded_solver():

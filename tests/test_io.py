@@ -246,6 +246,18 @@ class TestCsv:
             read_csv(p)
         assert exc.value.line == 3 and str(p) in str(exc.value)
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        p = tmp_path / "bom.csv"
+        p.write_bytes(b"\xef\xbb\xbfa,b\n1,2\n")
+        assert read_csv(p) == (["a", "b"], [["1", "2"]])
+
+    def test_bad_byte_after_a_byte_order_mark_names_its_line(self, tmp_path):
+        p = tmp_path / "bom.csv"
+        p.write_bytes(b"\xef\xbb\xbfa,b\n1,\xff\n")
+        with pytest.raises(CsvFormatError) as exc:
+            read_csv(p)
+        assert exc.value.line == 2
+
     def test_empty_file(self, tmp_path):
         p = tmp_path / "empty.csv"
         p.write_text("")

@@ -131,6 +131,40 @@ class TestAutodiffOps:
         _check_grad(lambda: (ad.add(a, b), a.zero_grad(), b.zero_grad())[0], a, 4, rng)
         _check_grad(lambda: (ad.add(a, b), a.zero_grad(), b.zero_grad())[0], b, 4, rng)
 
+    def test_add_broadcasts_a_lower_rank_operand(self):
+        # A (4,) operand broadcast over 3 rows collects the gradient of every row.
+        rng = np.random.default_rng(0)
+        a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        b = Tensor(rng.standard_normal(4), requires_grad=True)
+
+        def f():
+            a.zero_grad()
+            b.zero_grad()
+            return ad.add(a, b)
+
+        out = f()
+        out.backward(np.ones_like(out.data))
+        assert np.array_equal(b.grad, [3.0, 3.0, 3.0, 3.0])
+        _check_grad(f, a, 4, rng)
+        _check_grad(f, b, 4, rng)
+
+    def test_where_broadcasts_a_lower_rank_operand(self):
+        rng = np.random.default_rng(1)
+        cond = np.array([[True, False, True], [False, False, True]])
+        a = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        b = Tensor(rng.standard_normal(3), requires_grad=True)
+
+        def f():
+            a.zero_grad()
+            b.zero_grad()
+            return ad.where(cond, a, b)
+
+        out = f()
+        out.backward(np.ones_like(out.data))
+        assert np.array_equal(b.grad, [1.0, 2.0, 0.0])
+        _check_grad(f, a, 4, rng)
+        _check_grad(f, b, 4, rng)
+
     def test_matmul(self):
         # The bias is part of the op: x @ w + b, one tape node.
         rng = np.random.default_rng(2)
@@ -592,6 +626,20 @@ class TestVectorFieldModel:
             model.velocity(np.zeros((2, 8)), 0.5, np.zeros((2, 3)))
         with pytest.raises(ShapeError):
             model.forward(np.zeros((2, 8)), 0.5, np.zeros((2, 2)), drop=np.array([True]))
+
+    @pytest.mark.parametrize("tau", [np.array([0.3]), np.zeros(4), np.full((3, 1), 0.5)],
+                             ids=["one_for_three_rows", "another_batch", "column"])
+    def test_refuses_a_tau_neither_scalar_nor_one_per_row(self, tau):
+        # One tau is never broadcast to every row, also through velocity.
+        message = f"tau must be scalar or (3,), got {tau.shape}"
+        with pytest.raises(ShapeError, match=re.escape(message)):
+            _make_model().velocity(np.zeros((3, 8)), tau)
+
+    def test_forward_refuses_an_integer_drop_mask(self):
+        model = _make_model(cond_dim=2)
+        with pytest.raises(ValidationError, match="drop must be a bool array, got int"):
+            model.forward(np.zeros((3, 8)), np.full(3, 0.5), np.zeros((3, 2)),
+                          drop=np.array([0, 1, 0]))
 
     def test_per_sample_tau(self):
         model = _make_model(seed=5)

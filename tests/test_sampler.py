@@ -92,6 +92,24 @@ class TestSchedules:
         with pytest.raises(ValidationError):
             schedule_uniform(0)
 
+    @pytest.mark.parametrize("builder", [schedule_uniform, schedule_raised_cosine])
+    @pytest.mark.parametrize("n_steps", [True, 3.0, 2.5, "3"])
+    def test_step_count_must_be_an_integer(self, builder, n_steps):
+        with pytest.raises(ValidationError, match="n_steps must be an integer, got"):
+            builder(n_steps)
+
+    @pytest.mark.parametrize("builder,digest", [
+        (schedule_uniform, "4f29ffad8f4a9744"),
+        (schedule_raised_cosine, "1ba5a27d78b4560b"),
+    ])
+    def test_valid_step_counts_keep_their_bits(self, builder, digest):
+        h = hashlib.sha256()
+        for n in range(1, 65):
+            taus = builder(n).taus
+            assert np.array_equal(builder(np.int64(n)).taus, taus)
+            h.update(taus.tobytes())
+        assert h.hexdigest()[:16] == digest
+
 
 class TestIntegrate:
     def test_velocity_record_past_numpys_array_limit_is_refused(self):

@@ -5,12 +5,13 @@ import hashlib
 import numpy as np
 import pytest
 
-from flowbridge.analysis import SDR_CAP_DB, estimate_decay, sdr
+from flowbridge.analysis import estimate_decay
 from flowbridge.exceptions import ConfigError, ValidationError
 from flowbridge.tasks import (
     CLEAN_T60,
     EARLY_WINDOW_S,
     MAX_SIGNAL_LENGTH,
+    SDR_CAP_DB,
     TaskSpec,
     apply_reverb,
     clip_to_sdr,
@@ -23,6 +24,7 @@ from flowbridge.tasks import (
     gen_two_moons,
     make_reverb_kernel,
     make_training_stream,
+    sdr,
 )
 
 
