@@ -5,10 +5,14 @@ through chunk-level optimal transport), picks uniform random flow times,
 applies condition dropout, and takes one Adam step on the flow-matching
 loss. All randomness flows from a single seed through named child streams,
 so reruns are bitwise identical and coupling variants see the same data.
+An OT coupling reads only the data and coupling streams, never the model,
+so it is made one step ahead on a worker thread while the current step runs;
+each stream is still read by one thread at a time, in the same order.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,9 +95,15 @@ def train(
 
     The seed is split into independent child streams for (in order) model
     init, the data stream, coupling noise, flow times, and condition dropout.
-    History records iteration 1, every log_every-th iteration, and the final
-    one. A non-finite loss aborts with TrainingDivergedError naming the
-    iteration.
+    Iteration 1's coupling is made in the caller's thread; while step t runs,
+    a chunked-OT coupling for step t + 1 is made on one worker thread, which
+    is joined before train returns or raises. The independent coupling, too
+    cheap to hand over, and a one-iteration run stay in the caller's thread.
+    Each stream has one reader at a time, so the outcome is bitwise that of
+    the serial loop, and a run that returns made exactly `iterations`
+    couplings. History records iteration 1, every log_every-th iteration,
+    and the final one. A non-finite loss aborts with TrainingDivergedError
+    naming the iteration.
     """
     check_model_fits_task(model_config, task)
     if config.chunk_size is not None and task.n % config.chunk_size != 0:
@@ -106,20 +116,29 @@ def train(
     stream = make_training_stream(task, config.batch_size, data_rng)
     history: list[tuple[int, float]] = []
 
-    for it in range(1, config.iterations + 1):
+    def draw_coupling():
         batch = next(stream)
         if config.coupling == "independent":
-            cpl = couple_independent(batch, couple_rng)
-        else:
-            # TrainConfig sets sinkhorn_epsilon exactly when ot_method is "sinkhorn".
-            cpl = couple_chunked_ot(batch, couple_rng, config.chunk_size, config.sinkhorn_epsilon)
-        tau = tau_rng.random(config.batch_size)
-        drop = drop_rng.random(config.batch_size) < config.cond_dropout
-        model.zero_grad()
-        loss = cfm_loss(model, cpl, tau, drop_condition=drop)
-        if not np.isfinite(loss):
-            raise TrainingDivergedError(iteration=it, loss=loss)
-        optimizer.step()
-        if it == 1 or it % config.log_every == 0 or it == config.iterations:
-            history.append((it, loss))
+            return couple_independent(batch, couple_rng)
+        # TrainConfig sets sinkhorn_epsilon exactly when ot_method is "sinkhorn".
+        return couple_chunked_ot(batch, couple_rng, config.chunk_size, config.sinkhorn_epsilon)
+
+    # The pool starts its thread on the first submit, so a run that never
+    # submits starts none; leaving the block waits for a coupling in flight.
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        cpl = draw_coupling()
+        for it in range(1, config.iterations + 1):
+            last = it == config.iterations
+            ahead = None if last or config.coupling == "independent" else pool.submit(draw_coupling)
+            tau = tau_rng.random(config.batch_size)
+            drop = drop_rng.random(config.batch_size) < config.cond_dropout
+            model.zero_grad()
+            loss = cfm_loss(model, cpl, tau, drop_condition=drop)
+            if not np.isfinite(loss):
+                raise TrainingDivergedError(iteration=it, loss=loss)
+            optimizer.step()
+            if it == 1 or it % config.log_every == 0 or last:
+                history.append((it, loss))
+            if not last:
+                cpl = draw_coupling() if ahead is None else ahead.result()
     return TrainResult(model=model, history=history)

@@ -1,11 +1,15 @@
 """Tests for the training loop."""
 
 import hashlib
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from flowbridge.exceptions import ConfigError, TrainingDivergedError
+from flowbridge import training
+from flowbridge.exceptions import ConfigError, TrainingDivergedError, ValidationError
 from flowbridge.nn import ModelConfig
 from flowbridge.tasks import TaskSpec
 from flowbridge.training import TrainConfig, train
@@ -125,6 +129,89 @@ class TestTrain:
             h.update(p.data.tobytes())
         assert len(result.history) == 10
         assert h.hexdigest() == "fe3fa8b7f4147fff48f3b31acfae44cf54e34851dfdcefdf960f138b6fb0cc15"
+
+    @pytest.mark.parametrize("switch_s", [None, 1e-6], ids=["default_switch", "switch_1us"])
+    def test_exact_ot_training_golden_digest(self, switch_s):
+        """A short 8-Gaussian training under exact chunked OT gives bit for bit
+        the loss history and parameters of the serial loop: the coupling made
+        a step ahead on the worker reads the data and coupling streams in the
+        same order, also when the interpreter switches threads every 1 µs."""
+        cfg = _small(iterations=30, batch_size=64, log_every=1, coupling="chunked_ot", chunk_size=2)
+        default_switch_s = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(switch_s or default_switch_s)
+            result = train(_planar_model(), TaskSpec("eight_gaussians"), cfg)
+        finally:
+            sys.setswitchinterval(default_switch_s)
+        h = hashlib.sha256()
+        h.update(np.array([loss for _, loss in result.history]).tobytes())
+        for name, p in result.model.params.items():
+            h.update(name.encode())
+            h.update(p.data.tobytes())
+        assert len(result.history) == 30
+        assert h.hexdigest() == "14a6512f6b1dff8bb733247f673c85d9006384baeca96c445510f5b84a5b6581"
+
+    @pytest.mark.parametrize("coupling", ["independent", "chunked_ot"])
+    @pytest.mark.parametrize("iterations", [1, 2, 7])
+    def test_one_coupling_per_iteration(self, monkeypatch, coupling, iterations):
+        """Wrappers on the module's coupling names, as the benchmark sets them,
+        see exactly one call per iteration; only a chunked-OT run of more than
+        one iteration hands couplings to the worker."""
+        calls = []
+        for attr in ("couple_chunked_ot", "couple_independent"):
+            orig = getattr(training, attr)
+
+            def counted(*args, _orig=orig, _attr=attr, **kwargs):
+                calls.append(_attr)
+                return _orig(*args, **kwargs)
+
+            monkeypatch.setattr(training, attr, counted)
+        submits = []
+        orig_submit = ThreadPoolExecutor.submit
+
+        def submit(pool, *args, **kwargs):
+            submits.append(args[0])
+            return orig_submit(pool, *args, **kwargs)
+
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", submit)
+        kw = dict(coupling="chunked_ot", chunk_size=2) if coupling == "chunked_ot" else {}
+        train(_planar_model(), TaskSpec("eight_gaussians"), _small(iterations=iterations, **kw))
+        expected = "couple_chunked_ot" if coupling == "chunked_ot" else "couple_independent"
+        assert calls == [expected] * iterations
+        assert len(submits) == (iterations - 1 if coupling == "chunked_ot" else 0)
+
+    def test_no_worker_thread_outlives_train(self, monkeypatch):
+        """The worker is joined on a normal return, on divergence and on a
+        coupling error raised on the worker, which reaches the caller."""
+        ot_cfg = dict(coupling="chunked_ot", chunk_size=2)
+        before = threading.active_count()
+        train(_planar_model(), TaskSpec("eight_gaussians"), _small(iterations=5, **ot_cfg))
+        assert threading.active_count() == before
+        with pytest.warns(RuntimeWarning), pytest.raises(TrainingDivergedError):
+            train(_planar_model(), TaskSpec("eight_gaussians"), _small(iterations=200, lr=1e30, **ot_cfg))
+        assert threading.active_count() == before
+        # An epsilon lost beside the cost scale fails the first coupling.
+        cfg = _small(iterations=5, ot_method="sinkhorn", sinkhorn_epsilon=5e-324, **ot_cfg)
+        with pytest.raises(ValidationError) as exc:
+            train(_planar_model(), TaskSpec("eight_gaussians"), cfg)
+        assert str(exc.value) == "epsilon 4.94066e-324 is below float64 resolution at max cost 20.7534"
+        assert threading.active_count() == before
+
+        caller = threading.get_ident()
+        orig = training.couple_chunked_ot
+        threads = []
+
+        def failing(*args, **kwargs):
+            threads.append(threading.get_ident())
+            if len(threads) == 3:
+                raise ValidationError("coupling failed on the worker")
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(training, "couple_chunked_ot", failing)
+        with pytest.raises(ValidationError, match="coupling failed on the worker"):
+            train(_planar_model(), TaskSpec("eight_gaussians"), _small(iterations=5, **ot_cfg))
+        assert threads[0] == caller and threads[2] != caller
+        assert threading.active_count() == before
 
     def test_seeds_change_outcome(self):
         a = train(_planar_model(), TaskSpec("two_moons"), _small(seed=0))
