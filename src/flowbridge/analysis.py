@@ -69,12 +69,9 @@ def curvature_profile(trajectories: list[Trajectory]) -> CurvatureProfile:
         if not np.array_equal(t.taus, ref):
             raise ValidationError("trajectories were integrated on different schedules")
     pooled = np.concatenate([curvature(t) for t in trajectories], axis=1)
-    return CurvatureProfile(
-        taus=ref[:-1].copy(),
-        mean=pooled.mean(axis=1),
-        p25=np.percentile(pooled, 25, axis=1),
-        p75=np.percentile(pooled, 75, axis=1),
-    )
+    # q in the data's dtype: a float64 q would promote float32 quartiles to float64.
+    p25, p75 = np.percentile(pooled, np.array([25, 75], dtype=pooled.dtype), axis=1)
+    return CurvatureProfile(taus=ref[:-1].copy(), mean=pooled.mean(axis=1), p25=p25, p75=p75)
 
 
 def empirical_w2(a: np.ndarray, b: np.ndarray) -> float:

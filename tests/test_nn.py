@@ -18,7 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowbridge.coupling import Coupling
 from flowbridge.exceptions import CheckpointError, ConfigError, ShapeError, ValidationError
+from flowbridge.flow import cfm_loss
 from flowbridge.nn import (
     Adam,
     ModelConfig,
@@ -29,6 +31,7 @@ from flowbridge.nn import (
     time_embedding,
 )
 from flowbridge.nn import autodiff as ad
+from flowbridge.nn.adam import BETA1, BETA2, EPS
 from flowbridge.nn.model import MAX_TIME_FREQ, TIME_FEATURES, param_layout
 
 
@@ -821,6 +824,73 @@ class TestAdam:
         opt = Adam([p], lr=0.1)
         opt.step()
         assert np.array_equal(p.data, np.ones(3))
+
+    @pytest.mark.parametrize("backbone, dtype", [("conv", "float32"), ("mlp", "float64")])
+    def test_matches_per_parameter_loop_bitwise(self, backbone, dtype):
+        """50 steps on cfm_loss gradients, some dropping every condition row
+        (cond_w and cond_b get no gradient then) and some none, leave the
+        parameters byte-equal after every step to a loop over the parameters
+        with their own moments."""
+        model = _make_model(backbone=backbone, cond_dim=2, dtype=dtype, seed=4)
+        ref = _make_model(backbone=backbone, cond_dim=2, dtype=dtype, seed=4)
+        opt, ref_opt = Adam(model.parameters(), lr=1e-2), _LoopAdam(ref.parameters(), lr=1e-2)
+        rng = np.random.default_rng(22)
+        dt = model.config.np_dtype
+        for step in range(50):
+            x0, x1 = (rng.standard_normal((6, 8)).astype(dt) for _ in range(2))
+            c = Coupling(x0, x1, rng.standard_normal((6, 2)).astype(dt))
+            tau = rng.random(6)
+            drop = np.ones(6, bool) if step % 5 == 2 else rng.random(6) < 0.3
+            for m, o in ((model, opt), (ref, ref_opt)):
+                m.zero_grad()
+                cfm_loss(m, c, tau, drop_condition=drop)
+                o.step()
+            # where's backward gives null_cond a gradient (zeros when no row drops) every step.
+            assert model.params["null_cond"].grad is not None
+            assert (model.params["cond_w"].grad is None) == drop.all()
+            for a, b in zip(model.parameters(), ref.parameters()):
+                assert a.data.tobytes() == b.data.tobytes(), step
+
+    def test_negative_zero_gradient_matches_loop(self):
+        data = np.array([1.0, -2.0, 0.5], dtype=np.float32)
+        p, q = Tensor(data.copy(), requires_grad=True), Tensor(data.copy(), requires_grad=True)
+        opt, ref = Adam([p], lr=0.1), _LoopAdam([q], lr=0.1)
+        for g in ([-0.0, 0.0, 1.0], [-0.0, -0.0, -0.0], [2.0, -0.0, 0.0]):
+            p.grad = np.array(g, dtype=np.float32)
+            q.grad = p.grad.copy()
+            opt.step()
+            ref.step()
+            assert p.data.tobytes() == q.data.tobytes()
+
+    def test_mixed_dtypes_rejected(self):
+        a = Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
+        b = Tensor(np.ones(2, dtype=np.float64), requires_grad=True)
+        with pytest.raises(ValidationError, match="one dtype"):
+            Adam([a, b], lr=0.1)
+
+
+class _LoopAdam:
+    """Adam as a loop over the parameters, each with its own moments: the reference."""
+
+    def __init__(self, params, lr):
+        self.params, self.lr, self.step_count = params, lr, 0
+        self.m = [np.zeros_like(p.data) for p in params]
+        self.v = [np.zeros_like(p.data) for p in params]
+
+    def step(self):
+        self.step_count += 1
+        bc1 = 1.0 - BETA1**self.step_count
+        bc2 = 1.0 - BETA2**self.step_count
+        for p, m, v in zip(self.params, self.m, self.v):
+            if p.grad is None:
+                continue
+            g = p.grad
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
+            update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
+            p.data -= (self.lr * update).astype(p.data.dtype, copy=False)
 
 
 def _saved_with_header(tmp_path, key, edit):

@@ -10,7 +10,7 @@ import pytest
 
 from flowbridge import training
 from flowbridge.exceptions import ConfigError, TrainingDivergedError, ValidationError
-from flowbridge.nn import ModelConfig
+from flowbridge.nn import ModelConfig, VectorFieldModel
 from flowbridge.tasks import TaskSpec
 from flowbridge.training import TrainConfig, train
 
@@ -111,6 +111,27 @@ class TestTrain:
             h.update(p.data.tobytes())
         assert len(result.history) == 20
         assert h.hexdigest() == "bce97316be7a7c7d957ff186e917a818b94501aaee139ecfe689e3abecf3da50"
+
+    def test_all_rows_dropped_training_golden_digest(self):
+        """With cond_dropout=1.0 every step drops every row, so cond_w and cond_b
+        never get a gradient: Adam skips them, they keep their initial bytes, and
+        the loss history and parameters are bit for bit what they have always been."""
+        mc = _planar_model(cond_dim=1)
+        cfg = _small(iterations=20, log_every=1, cond_dropout=1.0)
+        result = train(mc, TaskSpec("cond_ring"), cfg)
+        h = hashlib.sha256()
+        h.update(np.array([loss for _, loss in result.history]).tobytes())
+        for name, p in result.model.params.items():
+            h.update(name.encode())
+            h.update(p.data.tobytes())
+        assert len(result.history) == 20
+        assert h.hexdigest() == "7a19d909e47722c7a139efe04a98e239c2f83900f34c65bfca58e6ce47b66873"
+        # The model-init stream is the first child of the seed (see train's docstring).
+        init_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(5)[0])
+        init = VectorFieldModel(mc, init_rng)
+        for name in ("cond_w", "cond_b"):
+            assert result.model.params[name].data.tobytes() == init.params[name].data.tobytes()
+        assert result.model.params["null_cond"].data.tobytes() != init.params["null_cond"].data.tobytes()
 
     def test_conv_sinkhorn_training_golden_digest(self):
         """A short conv-backbone reverb training under Sinkhorn chunked OT gives
