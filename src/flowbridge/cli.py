@@ -15,7 +15,7 @@ from .exceptions import CheckpointError, ConfigError, FlowbridgeError
 from .nn.checkpoint import load_checkpoint, save_checkpoint
 from .nn.model import ModelConfig
 from .sampler import SCHEDULES, gfb_transfer
-from .signalio import load_signals, read_csv, save_signals, write_csv
+from .signalio import float32_samples, load_signals, read_csv, save_signals, write_csv
 from .svgplot import SvgFigure
 from .tasks import TaskSpec, make_training_stream
 from .training import TrainConfig, check_model_fits_task, train
@@ -81,9 +81,12 @@ def _cmd_bridge(args) -> int:
     schedule = SCHEDULES[args.schedule](args.steps)
     result = gfb_transfer(model, values, schedule, condition, gamma=gamma, method=args.method)
     out = Path(args.out)
+    # Both are checked before either file is written.
+    output = float32_samples(out / "output.fbs", result.output)
+    latent = float32_samples(out / "latent.fbs", result.latent)
     out.mkdir(parents=True, exist_ok=True)
-    save_signals(out / "output.fbs", result.output, fs=fs)
-    save_signals(out / "latent.fbs", result.latent, fs=fs)
+    save_signals(out / "output.fbs", output, fs=fs)
+    save_signals(out / "latent.fbs", latent, fs=fs)
     # float64: the norms of float32 signals near its range overflow in float32.
     x_in, x_out = values.astype(np.float64), result.output.astype(np.float64)
     disp = np.linalg.norm(x_out - x_in, axis=1)

@@ -104,11 +104,13 @@ def cost_matrix(a: np.ndarray, b: np.ndarray) -> CostMatrix:
         raise ShapeError(f"point sets must match in count and dimension: {a.shape} vs {b.shape}")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise ValidationError("input points have non-finite entries")
-    # ||a-b||^2 = ||a||^2 + ||b||^2 - 2 a.b; clip tiny negatives from cancellation
-    sq_a = np.sum(a * a, axis=1)[:, None]
-    sq_b = np.sum(b * b, axis=1)[None, :]
-    c = sq_a + sq_b - 2.0 * (a @ b.T)
-    np.maximum(c, 0.0, out=c)
+    # ||a-b||^2 = ||a||^2 + ||b||^2 - 2 a.b; clip tiny negatives from cancellation.
+    # Points near float64's range overflow here; CostMatrix refuses the result.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq_a = np.sum(a * a, axis=1)[:, None]
+        sq_b = np.sum(b * b, axis=1)[None, :]
+        c = sq_a + sq_b - 2.0 * (a @ b.T)
+        np.maximum(c, 0.0, out=c)
     return CostMatrix(c)
 
 

@@ -20,8 +20,8 @@ import numpy as np
 
 from .exceptions import CsvFormatError, ValidationError
 
-__all__ = ["save_signals", "load_signals", "write_frame", "read_frame", "write_csv", "read_csv",
-           "format_value"]
+__all__ = ["save_signals", "load_signals", "float32_samples", "write_frame", "read_frame",
+           "write_csv", "read_csv", "format_value"]
 
 MAGIC = b"FBSIGNAL"
 VERSION = 1
@@ -71,10 +71,20 @@ def _signal_header(path, shape, fs) -> dict:
     return {"fs": fs, "shape": shape}
 
 
+def float32_samples(path, values) -> np.ndarray:
+    """values as the little-endian float32 samples of a `.fbs` payload; ValidationError naming
+    the path unless every one is finite there (a float64 value past float32's range is not)."""
+    with np.errstate(over="ignore"):
+        samples = np.ascontiguousarray(values, dtype="<f4")
+    if not np.all(np.isfinite(samples)):
+        raise ValidationError(f"{path}: signal values must be finite in float32")
+    return samples
+
+
 def save_signals(path: str | Path, values: np.ndarray, fs: float | None = None) -> None:
     values = np.asarray(values)
     header = _signal_header(path, list(values.shape), fs)
-    write_frame(path, MAGIC, VERSION, header, np.ascontiguousarray(values, dtype="<f4").tobytes())
+    write_frame(path, MAGIC, VERSION, header, float32_samples(path, values).tobytes())
 
 
 def load_signals(path: str | Path) -> tuple[np.ndarray, float | None]:

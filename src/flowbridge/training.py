@@ -1,9 +1,22 @@
-"""End-to-end training loop for vector-field models.
+"""Training a vector-field model: couplings, the flow-matching loss and the loop.
 
-Each iteration draws a task batch, couples it with noise (independently or
-through chunk-level optimal transport), picks uniform random flow times,
-applies condition dropout, and takes one Adam step on the flow-matching
-loss. All randomness flows from a single seed through named child streams,
+A coupling pairs a data batch (`tasks.SignalBatch`) with noise: row i of x0
+(data) trains against row i of x1 (noise). The independent coupling draws noise
+i.i.d. per sample. The chunked-OT coupling splits every sample in a minibatch
+into fixed-length chunks, solves one optimal transport problem over the pooled
+chunks (data chunks vs noise chunks, squared-L2 cost), and reassembles the noise
+so that each data chunk trains against its transport partner. Chunks may cross
+sample boundaries: the pool is flattened over the whole minibatch before the solve.
+
+The path between x0 and x1 is linear, x_tau = (1 - tau) * x0 + tau * x1, so the
+regression target for the velocity network is the constant displacement x1 - x0.
+The loss is the mean squared error between the predicted field at a random tau
+and that target; condition dropout replaces a random subset of conditions with
+the learned null embedding so one network serves both guided and unguided sampling.
+
+Each iteration draws a task batch, couples it with noise, picks uniform random
+flow times, applies condition dropout, and takes one Adam step on that loss.
+All randomness flows from a single seed through named child streams,
 so reruns are bitwise identical and coupling variants see the same data.
 An OT coupling reads only the data and coupling streams, never the model,
 so it is made one step ahead on a worker thread while the current step runs;
@@ -17,15 +30,104 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import ot
 from .config import check_int_fields, check_real_fields
-from .coupling import couple_chunked_ot, couple_independent
-from .exceptions import ConfigError, TrainingDivergedError
-from .flow import cfm_loss
+from .exceptions import ConfigError, ShapeError, TrainingDivergedError, ValidationError
 from .nn.adam import Adam
 from .nn.model import ModelConfig, VectorFieldModel
-from .tasks import TaskSpec, make_training_stream
+from .tasks import SignalBatch, TaskSpec, make_training_stream
 
-__all__ = ["TrainConfig", "TrainResult", "check_model_fits_task", "train"]
+__all__ = ["Coupling", "couple_independent", "couple_chunked_ot", "cfm_loss", "TrainConfig",
+           "TrainResult", "check_model_fits_task", "train"]
+
+
+@dataclass(frozen=True)
+class Coupling:
+    """Matched (data, noise) pair for flow-matching training.
+
+    x0 is the data endpoint, x1 the noise endpoint; row i of x0 trains
+    against row i of x1.
+    """
+
+    x0: np.ndarray
+    x1: np.ndarray
+    condition: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.x0.shape != self.x1.shape:
+            raise ShapeError(f"endpoint shape mismatch: {self.x0.shape} vs {self.x1.shape}")
+        if self.x0.ndim != 2:
+            raise ShapeError(f"coupling endpoints must be (B, N), got {self.x0.shape}")
+
+
+def couple_independent(batch: SignalBatch, rng: np.random.Generator) -> Coupling:
+    """Pair each sample with freshly drawn standard Gaussian noise."""
+    x1 = rng.standard_normal(batch.values.shape, dtype=np.float32)
+    return Coupling(batch.values, x1, batch.condition)
+
+
+def couple_chunked_ot(
+    batch: SignalBatch,
+    rng: np.random.Generator,
+    n_c: int,
+    epsilon: float | None = None,
+) -> Coupling:
+    """Pair data with noise through chunk-level optimal transport.
+
+    Noise is drawn exactly as in couple_independent (same rng consumption, so
+    the two couplings are comparable under a shared seed), then both streams
+    are chunked, a squared-L2 cost matrix over all B*N/n_c chunks is solved,
+    and the noise chunks are permuted into their matched data slots before
+    reassembly. Without ``epsilon`` the assignment solver runs; with it, the
+    entropy-regularized solver runs at that epsilon and pairs are sampled
+    from the plan rows.
+    """
+    n = batch.values.shape[1]
+    if n_c < 1 or n % n_c != 0:
+        raise ValidationError(f"chunk size {n_c} does not divide signal length {n}")
+    x1 = rng.standard_normal(batch.values.shape, dtype=np.float32)
+    data_chunks = batch.values.reshape(-1, n_c)
+    noise_chunks = x1.reshape(-1, n_c)
+    c = ot.cost_matrix(data_chunks, noise_chunks)
+    if epsilon is None:
+        sigma = ot.solve_exact(c).sigma
+    else:
+        plan = ot.solve_sinkhorn(c, epsilon=epsilon)
+        sigma = ot.plan_to_pairs(plan, rng)
+    matched = noise_chunks[sigma].reshape(x1.shape)
+    return Coupling(batch.values, matched, batch.condition)
+
+
+def cfm_loss(
+    model: VectorFieldModel,
+    coupling: Coupling,
+    tau,
+    drop_condition: np.ndarray | None = None,
+) -> float:
+    """Flow-matching MSE at the given times; gradients land on the model.
+
+    drop_condition marks rows whose condition is withheld this step (trained
+    through the null branch). The loss gradient 2 * (v - u) / (B * N) is
+    pushed through the tape onto model.params; inside ``nn.autodiff.no_grad()``
+    no tape is recorded, so the call only computes the loss.
+    """
+    x0, x1 = coupling.x0, coupling.x1
+    b = x0.shape[0]
+    tau = np.asarray(tau, dtype=np.float64)
+    if tau.ndim == 0:
+        tau = np.full(b, float(tau))
+    if tau.shape != (b,):
+        raise ShapeError(f"tau must be scalar or ({b},), got {tau.shape}")
+    if not np.all((tau >= 0.0) & (tau <= 1.0)):
+        raise ValidationError("tau must lie in [0, 1]")
+    w = tau[:, None].astype(x0.dtype)
+    xt = (1.0 - w) * x0 + w * x1
+    target = x1 - x0
+    out = model.forward(xt, tau, coupling.condition, drop=drop_condition)
+    r = out.data - target.astype(out.data.dtype)
+    loss = float(np.mean(r * r))
+    out.backward(2.0 * r / r.size)
+    return loss
 
 
 @dataclass(frozen=True)

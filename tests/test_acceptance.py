@@ -13,8 +13,6 @@ import numpy as np
 
 from flowbridge import ot
 from flowbridge.analysis import curvature_profile, estimate_decay
-from flowbridge.coupling import Coupling, couple_chunked_ot, couple_independent
-from flowbridge.flow import cfm_loss
 from flowbridge.nn.autodiff import no_grad
 from flowbridge.nn.model import ModelConfig, VectorFieldModel
 from flowbridge.sampler import gfb_transfer, integrate, schedule_raised_cosine
@@ -25,6 +23,7 @@ from flowbridge.tasks import (
     gen_toy_signal,
     make_reverb_kernel,
 )
+from flowbridge.training import Coupling, cfm_loss, couple_chunked_ot, couple_independent
 
 from conftest import EIGHT_GAUSS_ITERS, RING_ITERS
 

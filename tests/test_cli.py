@@ -5,6 +5,7 @@ import json
 import struct
 import warnings
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from flowbridge.analysis import curvature_profile, empirical_w2
 from flowbridge.cli import main
 from flowbridge.nn import ModelConfig, VectorFieldModel, load_checkpoint, save_checkpoint
 from flowbridge.sampler import SCHEDULES, integrate
-from flowbridge.signalio import load_signals, read_csv, save_signals
+from flowbridge.signalio import MAGIC, VERSION, load_signals, read_csv, save_signals, write_frame
 from flowbridge.tasks import TaskSpec, gen_two_moons, make_training_stream
 
 from conftest import FRAME_FAULTS
@@ -53,6 +54,25 @@ def test_train_outputs(planar_run):
     assert iterations[0] == 1
     assert iterations[-1] == 30
     assert all(np.isfinite(float(r[1])) for r in rows)
+
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+
+
+def test_configs_hold_every_experiment_model():
+    assert [p.stem for p in CONFIGS] == [
+        "clip_chunked_ot_16", "clip_chunked_ot_256", "clip_chunked_ot_64", "clip_independent",
+        "cond_ring_chunked_ot", "cond_ring_independent",
+        "eight_gaussians_chunked_ot", "eight_gaussians_independent",
+    ]
+    # A run's seed comes from --seed.
+    assert not [p.name for p in CONFIGS if "seed" in json.loads(p.read_text())["train"]]
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=[p.stem for p in CONFIGS])
+def test_shipped_config_trains(config, tmp_path):
+    argv = ["train", "--config", str(config), "--set", "train.iterations=2", "--out", str(tmp_path)]
+    assert main(argv) == 0
 
 
 def test_train_set_override(tmp_path, capsys):
@@ -507,13 +527,48 @@ def test_bridge_rejects_non_finite_gamma(planar_run, tmp_path, capsys, gamma):
 
 
 def test_bridge_rejects_nan_input(planar_run, tmp_path, capsys):
+    # save_signals refuses a NaN, so the file is framed by hand.
     sig_path = tmp_path / "in.fbs"
-    save_signals(sig_path, np.array([[0.5, np.nan], [0.1, 0.2]], dtype=np.float32))
+    values = np.array([[0.5, np.nan], [0.1, 0.2]], dtype="<f4")
+    write_frame(sig_path, MAGIC, VERSION, {"fs": None, "shape": [2, 2]}, values.tobytes())
     rc = main([
         "bridge", "--checkpoint", str(planar_run / "model.fbc"),
         "--input", str(sig_path), "--out", str(tmp_path / "b"), "--steps", "4",
     ])
     _assert_one_error_line(rc, capsys, "non-finite")
+
+
+def _float64_checkpoint(tmp_path, out_b):
+    """An 8-Gaussian float64 checkpoint whose output bias is out_b."""
+    model = VectorFieldModel(ModelConfig(signal_length=2, hidden=8, depth=1, dtype="float64"),
+                             np.random.default_rng(0))
+    model.params["out_b"].data[...] = out_b
+    ckpt = tmp_path / "m" / "model.fbc"
+    ckpt.parent.mkdir()
+    save_checkpoint(ckpt, model, extra={"task": {"family": "eight_gaussians"}})
+    return ckpt
+
+
+def test_bridge_refuses_a_latent_past_float32_and_writes_neither_file(tmp_path, capsys):
+    # The near-constant field is added on encode and removed on decode: the
+    # latent is near 1e39, past float32's range, and the output is finite.
+    ckpt = _float64_checkpoint(tmp_path, 1e39)
+    sig_path = tmp_path / "in.fbs"
+    save_signals(sig_path, np.random.default_rng(1).standard_normal((8, 2)))
+    out = tmp_path / "b"
+    rc = main(["bridge", "--checkpoint", str(ckpt), "--input", str(sig_path), "--out", str(out),
+               "--steps", "4"])
+    _assert_one_error_line(rc, capsys, f"{out / 'latent.fbs'}: signal values must be finite")
+    assert not out.exists()
+
+
+def test_eval_refuses_a_decode_whose_cost_overflows(tmp_path, capsys):
+    # Decoded points near 1e200 square past float64's range in the W2 cost matrix.
+    ckpt = _float64_checkpoint(tmp_path, 1e200)
+    rc = main(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "ev"),
+               "--samples", "16", "--steps", "4", "--gammas", "1"])
+    _assert_one_error_line(rc, capsys, "cost matrix has non-finite entries")
+    assert not (tmp_path / "ev").exists()
 
 
 def test_bridge_length_mismatch(planar_run, tmp_path, capsys):

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowbridge import ot
-from flowbridge.coupling import Coupling, couple_chunked_ot, couple_independent
 from flowbridge.exceptions import ShapeError, ValidationError
 from flowbridge.tasks import SignalBatch, TaskSpec, make_training_stream
+from flowbridge.training import Coupling, couple_chunked_ot, couple_independent
 
 
 def _batch(rng, b=4, n=16, k=None):

@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from flowbridge.coupling import Coupling
 from flowbridge.exceptions import ShapeError, ValidationError
-from flowbridge.flow import cfm_loss
 from flowbridge.nn import ModelConfig, VectorFieldModel
 from flowbridge.nn.autodiff import no_grad
+from flowbridge.training import Coupling, cfm_loss
 
 
 def _model(n=8, cond_dim=0, dtype="float64", seed=0):

@@ -134,6 +134,16 @@ class TestSignalFiles:
         assert not p.exists()
 
     @pytest.mark.parametrize(
+        "values", [[[1e39, 0.0]], [[np.nan, 0.0]], [[0.0, -np.inf]]],
+        ids=["past_float32", "nan", "inf"],
+    )
+    def test_save_refuses_a_value_not_finite_in_float32(self, tmp_path, values):
+        p = tmp_path / "sig.fbs"
+        with pytest.raises(ValidationError, match=re.escape(f"{p}: signal values must be finite")):
+            save_signals(p, np.array(values, dtype=np.float64))
+        assert not p.exists()
+
+    @pytest.mark.parametrize(
         "fs",
         [np.nan, np.inf, -8000.0, 0.0, True, "8000", np.bool_(True)],
         ids=["nan", "inf", "negative", "zero", "bool", "string", "numpy_bool"],
@@ -257,6 +267,11 @@ class TestCsv:
         with pytest.raises(CsvFormatError) as exc:
             read_csv(p)
         assert exc.value.line == 2
+
+    def test_blank_rows_are_skipped(self, tmp_path):
+        p = tmp_path / "blank.csv"
+        p.write_bytes(b"a,b\n1,2\n\n3,4\n")
+        assert read_csv(p) == (["a", "b"], [["1", "2"], ["3", "4"]])
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "empty.csv"

@@ -21,10 +21,9 @@ _SCRIPT = textwrap.dedent(
 
     import numpy as np
 
-    from flowbridge.coupling import couple_chunked_ot
-    from flowbridge.flow import cfm_loss
     from flowbridge.nn import Adam, ModelConfig, VectorFieldModel
     from flowbridge.tasks import TaskSpec, make_training_stream
+    from flowbridge.training import cfm_loss, couple_chunked_ot
 
     rng = np.random.default_rng(0)
     config = ModelConfig(signal_length=256, backbone="conv", hidden=32, depth=3, kernel_size=5,

@@ -18,9 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowbridge.coupling import Coupling
 from flowbridge.exceptions import CheckpointError, ConfigError, ShapeError, ValidationError
-from flowbridge.flow import cfm_loss
 from flowbridge.nn import (
     Adam,
     ModelConfig,
@@ -33,6 +31,7 @@ from flowbridge.nn import (
 from flowbridge.nn import autodiff as ad
 from flowbridge.nn.adam import BETA1, BETA2, EPS
 from flowbridge.nn.model import MAX_TIME_FREQ, TIME_FEATURES, param_layout
+from flowbridge.training import Coupling, cfm_loss
 
 
 def _fd_entry(f, arr, idx, h=1e-6):

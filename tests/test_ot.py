@@ -122,6 +122,13 @@ class TestCostMatrix:
         with pytest.raises(ValidationError):
             cost_matrix(a, b)
 
+    def test_overflow_is_refused_without_a_warning(self):
+        # 1e200 squared passes float64's range.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="cost matrix has non-finite entries"):
+                cost_matrix(np.array([[1e200, 0.0]]), np.zeros((1, 2)))
+
     def test_rejects_non_2d_points(self):
         with pytest.raises(ShapeError, match="expected 2-D point arrays"):
             cost_matrix(np.zeros(3), np.zeros(3))
